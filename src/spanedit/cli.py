@@ -138,7 +138,6 @@ _DECODE_OPTS = (
     Opt("decoder", str, "beam_merged", "decoding strategy", choices=_DECODERS),
     Opt("beam_size", int, 20, "beam width"),
     Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
-    Opt("threads", int, 1, "decode worker threads"),
 )
 
 _EVAL_OPTS = (
@@ -151,7 +150,6 @@ _EVAL_OPTS = (
     Opt("beam_size", int, 20, "beam width"),
     Opt("k", int, 20, "rank cutoff for accuracy@k"),
     Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
-    Opt("threads", int, 1, "eval worker threads"),
 )
 
 _STATS_OPTS = (
@@ -415,13 +413,7 @@ def _cmd_decode(opt: dict) -> int:
         inputs = [tokens]
     else:
         inputs = [list(ex.input) for ex in _load_split(opt["data"], opt["split"])]
-    if opt["threads"] > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=opt["threads"]) as pool:
-            rows = list(pool.map(lambda toks: _decode_one(model, vocab, toks, opt), inputs))
-    else:
-        rows = [_decode_one(model, vocab, toks, opt) for toks in inputs]
+    rows = [_decode_one(model, vocab, toks, opt) for toks in inputs]
     if opt["out"] == "-":
         for row in rows:
             sys.stdout.write(json.dumps(row, ensure_ascii=False) + "\n")
@@ -443,7 +435,6 @@ def _cmd_eval(opt: dict) -> int:
         model, vocab, examples,
         beam_size=opt["beam_size"], k=opt["k"], max_len=opt["max_len"],
         merge="during" if opt["decoder"] == "beam_merged" else "end",
-        threads=opt["threads"],
     )
     if opt["out"] == "-":
         sys.stdout.write(report.to_json() + "\n")

@@ -126,13 +126,16 @@ class TaskSpec:
             raise CorpusError("swap_adjacent requires min_len >= 2")
 
 
-def _validate_surface(tok: str, where: str) -> None:
-    if not isinstance(tok, str) or not tok:
-        raise CorpusError(f"{where}: tokens must be non-empty strings, got {tok!r}")
-    if any(ch.isspace() for ch in tok):
-        raise CorpusError(f"{where}: token {tok!r} contains whitespace")
-    if tok in RESERVED_SURFACES:
-        raise CorpusError(f"{where}: reserved surface {tok!r} not allowed in data")
+def validate_tokens(tokens: Sequence[str], where: str) -> None:
+    """Raise CorpusError unless every token is a non-empty, whitespace-free,
+    non-reserved surface: the rule for corpus data and for decoder inputs."""
+    for tok in tokens:
+        if not isinstance(tok, str) or not tok:
+            raise CorpusError(f"{where}: tokens must be non-empty strings, got {tok!r}")
+        if any(ch.isspace() for ch in tok):
+            raise CorpusError(f"{where}: token {tok!r} contains whitespace")
+        if tok in RESERVED_SURFACES:
+            raise CorpusError(f"{where}: reserved surface {tok!r} not allowed")
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,8 @@ class EditExample:
         object.__setattr__(self, "output", tuple(self.output))
         if not self.input:
             raise CorpusError("input sequence must be non-empty")
-        for tok in self.input:
-            _validate_surface(tok, "input")
-        for tok in self.output:
-            _validate_surface(tok, "output")
+        validate_tokens(self.input, "input")
+        validate_tokens(self.output, "output")
 
 
 def apply_edit(kind: TaskKind, tokens: Sequence[str]) -> list[str]:

@@ -6,7 +6,6 @@ import csv
 import json
 import re
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -148,7 +147,6 @@ def evaluate(
     k: int = 20,
     max_len: int | None = None,
     merge: str = "during",
-    threads: int = 1,
 ) -> EvalReport:
     """Beam-decode every example and aggregate metrics, overall and per task.
 
@@ -170,11 +168,7 @@ def evaluate(
             "input_mrr": reciprocal_rank(result, ex.input),
         }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, examples))
-    else:
-        rows = [one(ex) for ex in examples]
+    rows = [one(ex) for ex in examples]
     by_task: dict[str, list[dict[str, float]]] = {}
     for task, row in rows:
         by_task.setdefault(task, []).append(row)

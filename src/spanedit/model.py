@@ -293,6 +293,12 @@ class SpanCopyModel:
             tokens_consumed=state.tokens_consumed + 1,
         )
 
+    def decoder_advance_many(self, hidden: Tensor, token_ids: np.ndarray) -> Tensor:
+        """Advance R states [R, d] by one token each in one GRU step; row r
+        of the result is row r advanced by token_ids[r]."""
+        emb = ad.embed_lookup(self._p("embed.E"), np.asarray(token_ids))
+        return self._cell("dec.", emb, hidden)
+
     def advance_with_tokens(self, state: DecoderState, token_ids: Sequence[int]) -> DecoderState:
         for tid in token_ids:
             state = self.decoder_advance(state, tid)

@@ -31,7 +31,7 @@ def random_params_model(vocab, rng, scale=0.8, **overrides):
     # tests we want parameters away from the near-linear region.
     model = tiny_model(vocab, **overrides)
     for name, p in model.params.items():
-        p.data = rng.uniform(-scale, scale, size=p.data.shape)
+        p.data = rng.uniform(-scale, scale, size=p.data.shape).astype(model.config.dtype)
     return model
 
 

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,7 +122,7 @@ def test_decode_corpus_to_file(trained_artifacts, corpus_dir, tmp_path):
     code, _ = run_cli(
         "decode", "--model", str(model), "--vocab", str(vocab),
         "--data", str(corpus_dir), "--split", "test", "--out", str(out),
-        "--beam-size", "4", "--threads", "2",
+        "--beam-size", "4",
     )
     assert code == 0
     rows = [json.loads(l) for l in out.read_text().splitlines()]
@@ -138,6 +140,17 @@ def test_decode_requires_input_xor_data(trained_artifacts):
         "--input", "a b", "--data", "somewhere",
     )
     assert code == 1
+
+
+def test_decode_rejects_reserved_input(trained_artifacts):
+    model, vocab, _ = trained_artifacts
+    for decoder in ("greedy", "beam_merged", "beam_merge_at_end"):
+        code, out = run_cli(
+            "decode", "--model", str(model), "--vocab", str(vocab),
+            "--input", "a </s> b", "--decoder", decoder,
+        )
+        assert code == 3
+        assert out == ""
 
 
 def test_eval_report(trained_artifacts, corpus_dir, tmp_path):
@@ -252,6 +265,18 @@ def test_log_env_validation(corpus_dir, tmp_path, monkeypatch):
     code, _ = run_cli("gen-data", "--task", "insert", "--count", "4",
                       "--out", str(tmp_path / "o"))
     assert code == 3
+
+
+def test_log_levels_named_in_readme_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Set `SPANEDIT_LOG`\s+to (.*?) to control", readme, re.S)
+    levels = re.findall(r"`(\w+)`", sentence.group(1))
+    assert levels
+    for level in levels:
+        monkeypatch.setenv("SPANEDIT_LOG", level)
+        code, _ = run_cli("gen-data", "--task", "insert", "--count", "4",
+                          "--out", str(tmp_path / level))
+        assert code == 0, level
 
 
 def test_console_entry_point():

@@ -152,10 +152,3 @@ def test_eval_on_gold_candidates_is_perfect():
     golds = [("a", "b"), ("c",)]
     hits = [exact_match(result_from([list(g)]), g) for g in golds]
     assert sum(hits) / len(hits) == 1.0
-
-
-def test_evaluate_threads_match_serial(trained_insert):
-    model, vocab, splits, _ = trained_insert
-    serial = se.evaluate(model, vocab, splits["test"][:6], beam_size=4, k=4, threads=1)
-    threaded = se.evaluate(model, vocab, splits["test"][:6], beam_size=4, k=4, threads=3)
-    assert serial.metrics == threaded.metrics

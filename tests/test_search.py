@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spanedit as se
-from spanedit.corpus import RESERVED_SURFACES
+from spanedit import search
+from spanedit.corpus import EOS, RESERVED_SURFACES
+from spanedit.search import MergeEvent
 from spanedit.oracle import exact_likelihood
 from spanedit.search import default_max_len
 
@@ -119,18 +122,19 @@ def test_beam_deterministic():
     ]
 
 
-def test_merge_at_end_totals_match_during(rng):
+def test_merge_at_end_totals_match_during():
     # with unbounded width the two merge schedules see the same paths, so
-    # per-sequence totals must agree
+    # per-sequence totals must agree; the second input is mostly
+    # out-of-vocabulary, with a repeated surface
     model, vocab = small_model(seed=7)
-    x = ("a", "b")
-    during = se.beam_decode(model, vocab, x, beam_size=100_000, max_len=3)
-    at_end = se.beam_decode_merge_at_end(model, vocab, x, beam_size=100_000, max_len=3)
-    d = {c.tokens: c.log_prob for c in during.candidates}
-    e = {c.tokens: c.log_prob for c in at_end.candidates}
-    assert set(d) == set(e)
-    for toks in d:
-        assert d[toks] == pytest.approx(e[toks], abs=1e-9)
+    for x in (("a", "b"), ("zz", "a", "zz", "qq")):
+        during = se.beam_decode(model, vocab, x, beam_size=100_000, max_len=3)
+        at_end = se.beam_decode_merge_at_end(model, vocab, x, beam_size=100_000, max_len=3)
+        d = {c.tokens: c.log_prob for c in during.candidates}
+        e = {c.tokens: c.log_prob for c in at_end.candidates}
+        assert set(d) == set(e)
+        for toks in d:
+            assert d[toks] == pytest.approx(e[toks], abs=1e-9)
 
 
 def test_merge_at_end_events_are_post_hoc():
@@ -167,3 +171,152 @@ def test_oov_input_tokens_copyable(trained_insert):
     for cand in res.candidates:
         for tok in cand.tokens:
             assert tok not in RESERVED_SURFACES
+
+
+@pytest.mark.parametrize("decoder", [se.greedy_decode, se.beam_decode, se.beam_decode_merge_at_end])
+@pytest.mark.parametrize("bad", ["</s>", "<unk>", "<pad>", "<s>", "a b", ""])
+def test_decoders_reject_reserved_and_malformed_surfaces(decoder, bad):
+    # a copied literal "</s>" used to merge with the finished empty output
+    model, vocab = small_model(seed=10)
+    args = () if decoder is se.greedy_decode else (4,)
+    with pytest.raises(ValueError):
+        decoder(model, vocab, ("a", bad), *args)
+
+
+def _signature(result):
+    return (
+        [(c.tokens, c.finished, c.rank) for c in result.candidates],
+        [(ev.step, ev.tokens, ev.merged) for ev in result.merge_events],
+    )
+
+
+def reference_beam(model, vocab, x, beam_size, max_len, merge):
+    """Object-per-ray beam, one decoder_advance per fed token: the plain
+    loop the array core replaced, kept as its reference.  A ray is [tokens
+    (with a trailing EOS once finished), log_prob, state, pending feed ids,
+    finished, flat action path]."""
+    n, v = len(x), model.config.vocab_size
+    events = []
+
+    def successors(enc, active):
+        hidden = se.Tensor(np.stack([r[2].hidden.data for r in active]))
+        lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+        flat = np.concatenate([lqv.data, lqs.data.reshape(len(active), -1)], axis=1)
+        out = []
+        for (toks, lp, state, _, _, path), row in zip(active, flat):
+            for a in np.flatnonzero(np.isfinite(row)).tolist():
+                if a == se.EOS_ID:
+                    out.append([toks + (EOS,), lp + float(row[a]), None, (), True, path + (a,)])
+                    continue
+                if a < v:
+                    surf = (vocab.surface(a),)
+                else:
+                    i, last = divmod(a - v, n)
+                    surf = tuple(x[i : last + 1])
+                feed = tuple(vocab.ids(surf))
+                out.append([toks + surf, lp + float(row[a]), state, feed, False, path + (a,)])
+        return out
+
+    def merged(pool, step):
+        groups, counts = {}, {}
+        for ray in pool:
+            if ray[0] in groups:
+                groups[ray[0]][1] = float(np.logaddexp(groups[ray[0]][1], ray[1]))
+                counts[ray[0]] += 1
+            else:
+                groups[ray[0]], counts[ray[0]] = ray, 1
+        events.extend(MergeEvent(step, t, c) for t, c in counts.items() if c > 1)
+        return list(groups.values())
+
+    def settle(rays):
+        for ray in rays:
+            for tid in ray[3]:
+                ray[2] = model.decoder_advance(ray[2], tid)
+            ray[3] = ()
+
+    with se.no_grad():
+        enc = model.encode(vocab.ids(x))
+        rays = [[(), 0.0, model.initial_state(enc), (), False, ()]]
+        frontier = 0
+        while True:
+            if merge:
+                if frontier > max_len or all(r[4] for r in rays):
+                    break
+                active = [r for r in rays if not r[4] and len(r[0]) == frontier]
+                frontier += 1
+                if not active:
+                    continue
+            else:
+                active = [r for r in rays if not r[4] and len(r[0]) <= max_len]
+                if not active:
+                    break
+            pool = [r for r in rays if not any(r is a for a in active)] + successors(enc, active)
+            if merge:
+                pool = merged(pool, frontier - 1)
+            pool.sort(key=lambda r: (-r[1], r[0]) + (() if merge else (r[5],)))
+            rays = pool[:beam_size]
+            settle(rays)
+    if not merge:
+        rays = merged(rays, -1)
+    rays.sort(key=lambda r: (-r[1], r[0]))
+    return [(r[0][:-1] if r[4] else r[0], r[1], r[4], rank) for rank, r in enumerate(rays, 1)], [
+        (ev.step, ev.tokens, ev.merged) for ev in events
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    precision=st.sampled_from(["float64", "float32"]),
+    x=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), min_size=1, max_size=5),
+    max_len=st.integers(1, 2),
+)
+def test_array_core_matches_oracle_reference_and_exact_fallback(seed, precision, x, max_len):
+    vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b"])
+    model = random_params_model(vocab, np.random.default_rng(seed), precision=precision)
+    x = tuple(x)
+    result = se.beam_decode(model, vocab, x, beam_size=100_000, max_len=max_len)
+    # float32 rounding differs between the beam's batched rows and the
+    # oracle's single-row replay by ~1e-6 in log space
+    for cand in result.candidates:
+        if cand.finished:
+            want = exact_likelihood(model, vocab, x, cand.tokens)
+            if precision == "float64":
+                assert math.exp(cand.log_prob) == pytest.approx(want, abs=1e-9)
+            else:
+                assert cand.log_prob == pytest.approx(math.log(want), abs=1e-4)
+    # a hash base of 0 keys every ray by its last token, so equal-length
+    # rays collide and rounds fall back to exact tuple keys
+    for merge, decode in ((True, se.beam_decode), (False, se.beam_decode_merge_at_end)):
+        for width in (1, 3, 100_000):
+            normal = decode(model, vocab, x, beam_size=width, max_len=max_len + 1)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_HASH_BASE", 0)
+                forced = decode(model, vocab, x, beam_size=width, max_len=max_len + 1)
+            assert _signature(forced) == _signature(normal)
+            for a, b in zip(forced.candidates, normal.candidates):
+                assert a.log_prob == pytest.approx(b.log_prob, abs=1e-12)
+            if precision == "float64":
+                # float32 states differ between batched and single-row steps
+                # in the last bits, which may reorder near-ties
+                cands, events = reference_beam(model, vocab, x, width, max_len + 1, merge)
+                assert _signature(normal) == (
+                    [(t, f, r) for t, _, f, r in cands], events
+                )
+                for c, (_, lp, _, _) in zip(normal.candidates, cands):
+                    assert c.log_prob == pytest.approx(lp, abs=1e-9)
+
+
+def test_hash_collisions_take_exact_fallback(monkeypatch):
+    model, vocab = small_model(seed=11)
+    x = ("a", "b", "a")
+    calls = []
+    exact = search._exact_groups
+    monkeypatch.setattr(search, "_exact_groups", lambda *a: calls.append(1) or exact(*a))
+    normal = se.beam_decode(model, vocab, x, beam_size=16, max_len=4)
+    assert not calls  # the default hash does not collide here
+    monkeypatch.setattr(search, "_HASH_BASE", 0)
+    forced = se.beam_decode(model, vocab, x, beam_size=16, max_len=4)
+    assert calls
+    assert _signature(forced) == _signature(normal)
+    assert [c.log_prob for c in forced.candidates] == [c.log_prob for c in normal.candidates]
