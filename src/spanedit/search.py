@@ -19,8 +19,8 @@ after search; it exists as a baseline and is measurably worse.
 Both beams run on one array core.  Every action has a flat index: Gen(t) is
 t and Copy(i, j) is V + i*n + j - 1, which is also the order actions are
 enumerated and path tie-breaks compare in.  Per input, a table gives every
-action's length, surfaces, feed ids and Karp-Rabin hash; span hashes come
-from prefix hashes of the input, over an id space in which each distinct
+action's length, feed ids and Karp-Rabin hash; span hashes come from prefix
+hashes of the input, over an id space in which each distinct
 out-of-vocabulary input surface has an id of its own.  Survivor rays are
 arrays (log-prob, hash, length, finished flag, decoder state) plus the token
 tuples of at most beam-width rays.  A round scores the active rays in one
@@ -138,7 +138,7 @@ def greedy_decode(
             surfaces = action_surfaces(action, x, vocab)
             tokens.extend(surfaces)
             actions.append(action)
-            for tid in [vocab.lookup(s) for s in surfaces]:
+            for tid in vocab.ids(surfaces):
                 state = model.decoder_advance(state, tid)
             if len(tokens) >= max_len:
                 break
@@ -148,13 +148,14 @@ def greedy_decode(
 class _ActionTable:
     """Per-input facts about every flat action index (see the module doc).
 
-    Span cells below the diagonal keep length 0 and no surfaces; they score
-    -inf, as does every span a capped model forbids, so no pool entry uses
-    them.  Gen(EOS) has length 0, hash 0 and no surfaces: finishing leaves a
-    ray's tokens (and so its hash) unchanged and only sets the finished flag."""
+    Span cells below the diagonal keep length 0; they score -inf, as does
+    every span a capped model forbids, so no pool entry uses them.  Gen(EOS)
+    has length 0, hash 0 and no surfaces: finishing leaves a ray's tokens
+    (and so its hash) unchanged and only sets the finished flag."""
 
     def __init__(self, vocab: Vocab, x, x_ids: list[int], v: int):
         n = len(x)
+        self.x, self.v = tuple(x), v
         fresh: dict[str, int] = {}
         sids = [t if t != UNK_ID else fresh.setdefault(s, v + len(fresh)) for s, t in zip(x, x_ids)]
         base = _HASH_BASE & _MASK64
@@ -177,16 +178,21 @@ class _ActionTable:
         self.hash[EOS_ID] = 0
         self.hash[span] = prefix[last + 1] - prefix[starts] * powers[lengths]
         self.power = powers[self.length]  # base ** length
-        # Feed ids of action a are feed[feed_start[a] : feed_start[a] + length[a]].
+        # Feed ids of action a are feed[feed_start[a] : feed_start[a] + length[a]];
+        # a copy's surfaces are the same slice of x.
         self.feed = np.array(x_ids + list(range(v)), dtype=np.int64)
         self.feed_start = np.zeros(size, dtype=np.int64)
         self.feed_start[:v] = n + np.arange(v)
         self.feed_start[span] = starts
-        self.surfaces: list[tuple[str, ...] | None] = [(vocab.surface(t),) for t in range(v)]
-        self.surfaces[EOS_ID] = ()
-        self.surfaces.extend([None] * (n * n))
-        for a, i, j in zip(span.tolist(), starts.tolist(), (last + 1).tolist()):
-            self.surfaces[a] = tuple(x[i:j])
+        self._start, self._length = self.feed_start.tolist(), self.length.tolist()
+        self._gen_surfaces = [(vocab.surface(t),) for t in range(v)]
+        self._gen_surfaces[EOS_ID] = ()
+
+    def surfaces(self, a: int) -> tuple[str, ...]:
+        if a < self.v:
+            return self._gen_surfaces[a]
+        start = self._start[a]
+        return self.x[start : start + self._length[a]]
 
 
 @dataclass
@@ -307,7 +313,7 @@ def _next_rays(
             a = action_l[p]
             toks = rays.tokens[parent_l[p]]
             if a >= 0:
-                toks = toks + table.surfaces[a]
+                toks = toks + table.surfaces(a)
             memo[p] = toks
         return toks
 

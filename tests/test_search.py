@@ -277,14 +277,14 @@ def test_array_core_matches_oracle_reference_and_exact_fallback(seed, precision,
     x = tuple(x)
     result = se.beam_decode(model, vocab, x, beam_size=100_000, max_len=max_len)
     # float32 rounding differs between the beam's batched rows and the
-    # oracle's single-row replay by ~1e-6 in log space
+    # oracle's single-row replay by up to ~2e-6 in log space
     for cand in result.candidates:
         if cand.finished:
             want = exact_likelihood(model, vocab, x, cand.tokens)
             if precision == "float64":
                 assert math.exp(cand.log_prob) == pytest.approx(want, abs=1e-9)
             else:
-                assert cand.log_prob == pytest.approx(math.log(want), abs=1e-4)
+                assert cand.log_prob == pytest.approx(math.log(want), abs=1e-5)
     # a hash base of 0 keys every ray by its last token, so equal-length
     # rays collide and rounds fall back to exact tuple keys
     for merge, decode in ((True, se.beam_decode), (False, se.beam_decode_merge_at_end)):
