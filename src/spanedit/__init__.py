@@ -30,7 +30,6 @@ from .corpus import (
 from .metrics import EvalReport, evaluate, span_length_stats, structural_match
 from .model import (
     Action,
-    ActionDistribution,
     Copy,
     Gen,
     ModelConfig,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "ActionDistribution",
     "Adam",
     "BeamResult",
     "CheckpointError",

@@ -49,10 +49,6 @@ def no_grad():
         _mode.enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _mode.enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_order")
 
@@ -82,34 +78,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def grad_array(self) -> np.ndarray:
         """Accumulated gradient; zeros if this leaf was never touched."""
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -435,22 +409,6 @@ def take_last(t: Tensor, idx: np.ndarray) -> Tensor:
         flat = gt.reshape(-1, gt.shape[-1])
         rows = np.repeat(np.arange(flat.shape[0]), idx.shape[-1])
         np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
-        _acc(t, gt)
-
-    return _make(out, (t,), back)
-
-
-def take_rows(t: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along axis 1: out[b, p, ...] = t[b, idx[b, p], ...]."""
-    t = as_tensor(t)
-    idx = np.asarray(idx, dtype=np.int64)
-    bsz = t.data.shape[0]
-    rows = np.arange(bsz)[:, None]
-    out = t.data[rows, idx]
-
-    def back(g):
-        gt = np.zeros_like(t.data)
-        np.add.at(gt, (rows, idx), g)
         _acc(t, gt)
 
     return _make(out, (t,), back)

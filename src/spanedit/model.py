@@ -10,9 +10,14 @@ is what the training objective exploits, while decoding materializes the full
 [n, n] matrix.
 
 Copying a span of length L advances the decoder exactly like emitting those L
-tokens one at a time, so any two action paths that produce the same token
-prefix leave the decoder in bit-identical states.  Beam-search merging relies
-on that.
+tokens one at a time, so the decoder state is a function of the token prefix,
+whichever action path produced it.  The decoder works on rows: a state is a
+[R, d] array, advanced by one token per row in one GRU step.  One row stepped
+alone from `initial_state` equals the teacher-forced state of `forced_states`
+bitwise.  A row stepped inside a larger batch may differ from the same row
+stepped alone in the last bits, since BLAS picks its kernel by shape, so
+beam-search merging does not lean on bitwise equality: a merged ray keeps the
+state of its group's first member.
 """
 
 from __future__ import annotations
@@ -102,39 +107,9 @@ def action_surfaces(a: Action, x: Sequence[str], vocab) -> tuple[str, ...]:
 
 
 @dataclass
-class ActionDistribution:
-    """log q over V vocab actions and an [n, n] span table.
-
-    Span entry (i, j-1) holds Copy(i, j); cells below the diagonal (and, for
-    a restricted model, above the allowed length) are -inf.  All finite
-    entries of both parts jointly sum to probability one.
-    """
-
-    log_q_vocab: Tensor
-    log_q_span: Tensor
-
-    def log_prob(self, a: Action) -> float:
-        if isinstance(a, Gen):
-            return float(self.log_q_vocab.data[a.token_id])
-        return float(self.log_q_span.data[a.start, a.end - 1])
-
-    def normalization_defect(self) -> float:
-        flat = np.concatenate([self.log_q_vocab.data.ravel(), self.log_q_span.data.ravel()])
-        finite = flat[np.isfinite(flat)]
-        m = finite.max()
-        return abs(m + np.log(np.exp(finite - m).sum()))
-
-
-@dataclass
 class EncoderOutputs:
     contextual: Tensor  # [n, ctx] single example, [B, n, ctx] batched
     summary: Tensor  # [dec_hidden] or [B, dec_hidden]
-
-
-@dataclass(frozen=True)
-class DecoderState:
-    hidden: Tensor  # [dec_hidden]
-    tokens_consumed: int
 
 
 _GATES = ("z", "r", "n")
@@ -278,31 +253,16 @@ class SpanCopyModel:
 
     # -- decoder state
 
-    def initial_state(self, enc: EncoderOutputs) -> DecoderState:
+    def initial_state(self, enc: EncoderOutputs) -> Tensor:
+        """The [1, d] state after consuming START."""
         h = ad.reshape(enc.summary, (1, self.config.dec_hidden))
-        emb = ad.embed_lookup(self._p("embed.E"), np.asarray([START_ID]))
-        h = self._cell("dec.", emb, h)
-        return DecoderState(hidden=ad.reshape(h, (self.config.dec_hidden,)), tokens_consumed=0)
+        return self.decoder_advance(h, np.asarray([START_ID]))
 
-    def decoder_advance(self, state: DecoderState, token_id: int) -> DecoderState:
-        emb = ad.embed_lookup(self._p("embed.E"), np.asarray([token_id]))
-        h = ad.reshape(state.hidden, (1, self.config.dec_hidden))
-        h = self._cell("dec.", emb, h)
-        return DecoderState(
-            hidden=ad.reshape(h, (self.config.dec_hidden,)),
-            tokens_consumed=state.tokens_consumed + 1,
-        )
-
-    def decoder_advance_many(self, hidden: Tensor, token_ids: np.ndarray) -> Tensor:
+    def decoder_advance(self, hidden: Tensor, token_ids: Sequence[int]) -> Tensor:
         """Advance R states [R, d] by one token each in one GRU step; row r
         of the result is row r advanced by token_ids[r]."""
         emb = ad.embed_lookup(self._p("embed.E"), np.asarray(token_ids))
         return self._cell("dec.", emb, hidden)
-
-    def advance_with_tokens(self, state: DecoderState, token_ids: Sequence[int]) -> DecoderState:
-        for tid in token_ids:
-            state = self.decoder_advance(state, tid)
-        return state
 
     def forced_states(self, summary: Tensor, dec_in: np.ndarray) -> Tensor:
         """Teacher-forced decoder states.
@@ -352,15 +312,6 @@ class SpanCopyModel:
             ad.add(ad.matmul(mixed, self._p("attn.W_c"), transpose_b=True), self._p("attn.b_c"))
         )
 
-    def attention_context(self, state: DecoderState, enc: EncoderOutputs) -> Tensor:
-        h = ad.reshape(state.hidden, (1, self.config.dec_hidden))
-        return ad.reshape(self.attend_states(h, enc), (self.config.dec_hidden,))
-
-    def attention_weights(self, state: DecoderState, enc: EncoderOutputs) -> np.ndarray:
-        hp = ad.matmul(ad.reshape(state.hidden, (1, -1)), self._p("attn.W_a"))
-        scores = ad.matmul(hp, enc.contextual, transpose_b=True)
-        return np.exp(ad.log_softmax(scores, axis=-1).data[0])
-
     # -- action scores
 
     def _vocab_scores(self, ht: Tensor) -> Tensor:
@@ -397,15 +348,6 @@ class SpanCopyModel:
         logq = ad.log_softmax(flat, axis=-1)
         v = self.config.vocab_size
         return ad.narrow(logq, 1, 0, v), ad.reshape(ad.narrow(logq, 1, v, n * n), (r, n, n))
-
-    def action_scores(self, state_attended: Tensor, enc: EncoderOutputs) -> ActionDistribution:
-        ht = ad.reshape(state_attended, (1, self.config.dec_hidden))
-        lqv, lqs = self.action_scores_many(ht, enc)
-        n = enc.contextual.shape[0]
-        return ActionDistribution(
-            log_q_vocab=ad.reshape(lqv, (self.config.vocab_size,)),
-            log_q_span=ad.reshape(lqs, (n, n)),
-        )
 
     def score_components(self, ht: Tensor, ctx: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Factored scores for the training objective.

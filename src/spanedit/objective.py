@@ -125,9 +125,10 @@ class Bucket:
 
     K = m + 1 teacher-forced positions.  gen_ids/gen_ok give the correct
     vocab action per position (slot m is always EOS).  copy_* flatten each
-    position's correct copies into C slots: start index, end-1 index, rel =
-    length - 1 (the continuation offset into the DP suffix), and a validity
-    mask.  lc_gen/lc_copy mark the single longest-copy path's choices.
+    position's correct copies into C slots: start index, end-1 index and a
+    validity mask; copy_jm1 - copy_i = length - 1 is the continuation offset
+    into the DP suffix.  lc_gen/lc_copy mark the single longest-copy path's
+    choices.
     """
 
     n: int
@@ -139,7 +140,6 @@ class Bucket:
     gen_ok: np.ndarray  # [B, K] bool
     copy_i: np.ndarray  # [B, K, C] int64
     copy_jm1: np.ndarray  # [B, K, C] int64
-    copy_rel: np.ndarray  # [B, K, C] int64
     copy_mask: np.ndarray  # [B, K, C] bool
     lc_gen: np.ndarray  # [B, K] bool
     lc_copy: np.ndarray  # [B, K, C] bool
@@ -159,7 +159,6 @@ class Bucket:
             gen_ok=self.gen_ok[rows],
             copy_i=self.copy_i[rows],
             copy_jm1=self.copy_jm1[rows],
-            copy_rel=self.copy_rel[rows],
             copy_mask=self.copy_mask[rows],
             lc_gen=self.lc_gen[rows],
             lc_copy=self.lc_copy[rows],
@@ -193,7 +192,6 @@ def build_bucket(
     gen_ok = np.zeros((bsz, k_steps), dtype=bool)
     copy_i = np.zeros((bsz, k_steps, cmax), dtype=np.int64)
     copy_jm1 = np.zeros((bsz, k_steps, cmax), dtype=np.int64)
-    copy_rel = np.zeros((bsz, k_steps, cmax), dtype=np.int64)
     copy_mask = np.zeros((bsz, k_steps, cmax), dtype=bool)
     lc_gen = np.zeros((bsz, k_steps), dtype=bool)
     lc_copy = np.zeros((bsz, k_steps, cmax), dtype=bool)
@@ -218,7 +216,6 @@ def build_bucket(
             for s, cp in enumerate(copies):
                 copy_i[b, k, s] = cp.start
                 copy_jm1[b, k, s] = cp.end - 1
-                copy_rel[b, k, s] = cp.end - cp.start - 1
                 copy_mask[b, k, s] = True
         # longest-copy path: greedy longest matching copy, ties to the
         # earliest start; a position with no copy takes its Gen.
@@ -241,7 +238,7 @@ def build_bucket(
         lc_gen[b, m] = True
     return Bucket(
         n, m, pairs, x_ids, dec_in, gen_ids, gen_ok,
-        copy_i, copy_jm1, copy_rel, copy_mask, lc_gen, lc_copy,
+        copy_i, copy_jm1, copy_mask, lc_gen, lc_copy,
     )
 
 
@@ -295,11 +292,12 @@ def _marginal(gen_lq: Tensor, copy_lq: Tensor, bucket: Bucket) -> Tensor:
     """The suffix DP.  cols holds [T[k+1], ..., T[m+1]] left to right."""
     bsz, k_steps = gen_lq.shape
     cmax = copy_lq.shape[-1]
+    rel = bucket.copy_jm1 - bucket.copy_i
     cols = Tensor(np.zeros((bsz, 1), dtype=gen_lq.dtype))
     for k in range(k_steps - 1, -1, -1):
         gen_term = ad.add(ad.narrow(gen_lq, 1, k, 1), ad.narrow(cols, 1, 0, 1))
         copy_k = ad.reshape(ad.narrow(copy_lq, 1, k, 1), (bsz, cmax))
-        cont = ad.take_last(cols, bucket.copy_rel[:, k, :])
+        cont = ad.take_last(cols, rel[:, k, :])
         copy_term = ad.add(copy_k, cont)
         terms = ad.concat([gen_term, copy_term], 1)
         t_k = ad.logsumexp(terms, axis=-1, keepdims=True)

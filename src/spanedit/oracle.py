@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Vocab
-from .model import Action, ActionDistribution, SpanCopyModel, action_len
+from .model import Action, Gen, SpanCopyModel, action_len
 from .objective import correct_actions, match_table
 
 MAX_SIDE = 12
@@ -60,34 +60,43 @@ def teacher_forced_distributions(
     vocab: Vocab,
     x: Sequence[str],
     y: Sequence[str],
-) -> list[ActionDistribution]:
-    """Action distribution at every position k = 0..len(y), fed the gold
-    prefix.  Computed one step at a time through the single-example path."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(log_q_vocab [V], log_q_span [n, n]) at every position k = 0..len(y),
+    fed the gold prefix.  Computed one step at a time on single rows."""
     with ad.no_grad():
         enc = model.encode(vocab.ids(x))
-        state = model.initial_state(enc)
+        hidden = model.initial_state(enc)
         dists = []
         for tid in vocab.ids(y) + [None]:
-            ht = model.attention_context(state, enc)
-            dists.append(model.action_scores(ht, enc))
+            lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+            dists.append((lqv.data[0], lqs.data[0]))
             if tid is not None:
-                state = model.decoder_advance(state, tid)
+                hidden = model.decoder_advance(hidden, [tid])
     return dists
 
 
+def action_log_prob(dist: tuple[np.ndarray, np.ndarray], a: Action) -> float:
+    """log q(a) in one positional distribution; span cell (i, j-1) holds
+    Copy(i, j)."""
+    log_q_vocab, log_q_span = dist
+    if isinstance(a, Gen):
+        return float(log_q_vocab[a.token_id])
+    return float(log_q_span[a.start, a.end - 1])
+
+
 def sequence_log_prob(
-    dists: list[ActionDistribution], actions: Sequence[Action]
+    dists: list[tuple[np.ndarray, np.ndarray]], actions: Sequence[Action]
 ) -> float:
     """Replay one action sequence against precomputed positional
     distributions; the position advances by each action's emitted length."""
     k = 0
     total = 0.0
     for a in actions[:-1]:
-        total += dists[k].log_prob(a)
+        total += action_log_prob(dists[k], a)
         k += action_len(a)
     if k != len(dists) - 1:
         raise ValueError(f"sequence consumed {k} tokens, expected {len(dists) - 1}")
-    return total + dists[k].log_prob(actions[-1])
+    return total + action_log_prob(dists[k], actions[-1])
 
 
 def exact_likelihood(

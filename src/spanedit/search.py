@@ -4,9 +4,11 @@ One output token sequence is reachable through many action paths (emit the
 token, or copy it inside any number of overlapping spans), so a ray here is a
 *token sequence* together with the total probability mass of every action
 path that produced it.  Because the decoder state is a function of the token
-prefix only, rays with equal tokens have the same state (bit-identical when
-advanced token by token) and can be merged by adding their probabilities,
-without rescoring anything.
+prefix only, rays with equal tokens have the same state and can be merged by
+adding their probabilities, without rescoring anything.  The merged ray keeps
+the state of its group's first member: states settled in batches of
+different shapes can differ in the last bits, so the merge picks one member's
+state rather than assuming that all members' states are bitwise equal.
 
 Copies emit several tokens at once, which desynchronizes ray lengths.  The
 beam therefore advances a token-count frontier: at frontier L it expands the
@@ -113,20 +115,19 @@ def greedy_decode(
     n = len(x)
     if max_len is None:
         max_len = default_max_len(n)
+    v = model.config.vocab_size
     with ad.no_grad():
         enc = model.encode(vocab.ids(x))
-        state = model.initial_state(enc)
+        hidden = model.initial_state(enc)
         tokens: list[str] = []
         actions: list[Action] = []
         log_prob = 0.0
         finished = False
         while True:
-            ht = model.attention_context(state, enc)
-            dist = model.action_scores(ht, enc)
-            flat = np.concatenate([dist.log_q_vocab.data, dist.log_q_span.data.ravel()])
+            lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+            flat = np.concatenate([lqv.data[0], lqs.data[0].ravel()])
             idx = int(np.argmax(flat))
             log_prob += float(flat[idx])
-            v = model.config.vocab_size
             if idx < v:
                 action: Action = Gen(idx)
             else:
@@ -139,7 +140,7 @@ def greedy_decode(
             tokens.extend(surfaces)
             actions.append(action)
             for tid in vocab.ids(surfaces):
-                state = model.decoder_advance(state, tid)
+                hidden = model.decoder_advance(hidden, [tid])
             if len(tokens) >= max_len:
                 break
     return GreedyResult(tuple(tokens), log_prob, finished, tuple(actions))
@@ -374,7 +375,7 @@ def _settle(model: SpanCopyModel, table: _ActionTable, hidden: np.ndarray, actio
         sel = depth > d
         rows = grown[sel]
         ids = table.feed[start[sel] + d]
-        hidden[rows] = model.decoder_advance_many(Tensor(hidden[rows]), ids).data
+        hidden[rows] = model.decoder_advance(Tensor(hidden[rows]), ids).data
     return hidden
 
 
@@ -396,13 +397,12 @@ def _beam_search(
         x_ids = vocab.ids(x)
         enc = model.encode(x_ids)
         table = _ActionTable(vocab, x, x_ids, model.config.vocab_size)
-        init = model.initial_state(enc).hidden.data
         rays = _Rays(
             log_prob=np.zeros(1),
             hash=np.zeros(1, dtype=np.uint64),
             length=np.zeros(1, dtype=np.int64),
             finished=np.zeros(1, dtype=bool),
-            hidden=init.reshape(1, -1),
+            hidden=model.initial_state(enc).data,
             tokens=[()],
             paths=None if merge else [()],
         )

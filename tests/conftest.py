@@ -35,6 +35,15 @@ def random_params_model(vocab, rng, scale=0.8, **overrides):
     return model
 
 
+def normalization_defect(log_q_vocab, log_q_span):
+    """|log of the total probability| of one joint action distribution,
+    summed over its finite entries."""
+    flat = np.concatenate([np.ravel(log_q_vocab), np.ravel(log_q_span)])
+    finite = flat[np.isfinite(flat)]
+    m = finite.max()
+    return abs(m + np.log(np.exp(finite - m).sum()))
+
+
 def split_corpus(spec, count):
     corpus = se.generate_corpus(spec, count)
     out = {"train": [], "valid": [], "test": []}

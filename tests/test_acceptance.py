@@ -20,7 +20,7 @@ from spanedit.oracle import (
     teacher_forced_distributions,
 )
 
-from conftest import random_params_model, split_corpus, tiny_vocab
+from conftest import normalization_defect, random_params_model, split_corpus, tiny_vocab
 
 
 def verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -271,25 +271,25 @@ def test_criterion_9_normalization_and_path_independence(capsys):
             )
             x = tuple(letters[i] for i in rng.integers(0, 4, size=n))
             enc = model.encode(vocab.ids(x))
-            state = model.initial_state(enc)
-            ht = model.attention_context(state, enc)
-            dist = model.action_scores(ht, enc)
-            worst_defect = max(worst_defect, dist.normalization_defect())
-            # same consumed tokens via one span versus single steps
+            hidden = model.initial_state(enc)
+            lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+            worst_defect = max(worst_defect, normalization_defect(lqv.data, lqs.data))
+            # j single-row steps versus row j of the teacher-forced states
             ids = vocab.ids(x)
             j = int(rng.integers(1, n + 1))
-            via_span = model.advance_with_tokens(state, ids[:j])
-            via_steps = state
             for tok in ids[:j]:
-                via_steps = model.decoder_advance(via_steps, tok)
-            if not np.array_equal(via_span.hidden.data, via_steps.hidden.data):
+                hidden = model.decoder_advance(hidden, [tok])
+            forced = model.forced_states(
+                ad.reshape(enc.summary, (1, -1)), np.asarray([[se.START_ID] + ids[:j]])
+            )
+            if not np.array_equal(hidden.data[0], forced.data[0, j]):
                 paths_equal = False
             draws += 1
     verdict(
         capsys,
         9, worst_defect <= 1e-6 and paths_equal,
         f"{draws} draws over n=1..8: max normalization defect {worst_defect:.2e} "
-        f"(tol 1e-06), decoder states bitwise path-independent: {paths_equal}",
+        f"(tol 1e-06), single-row decoder steps bitwise equal to teacher-forced states: {paths_equal}",
     )
 
 

@@ -6,16 +6,27 @@ import pytest
 import spanedit as se
 import spanedit.autodiff as ad
 from spanedit.corpus import PAD_ID, START_ID
+from spanedit.oracle import action_log_prob
 
-from conftest import random_params_model, tiny_model, tiny_vocab
+from conftest import normalization_defect, random_params_model, tiny_model, tiny_vocab
 
 
 def scores_for(model, vocab, x, consumed=()):
+    """(log_q_vocab [V], log_q_span [n, n]) after consuming `consumed`."""
     enc = model.encode(vocab.ids(x))
-    state = model.initial_state(enc)
-    state = model.advance_with_tokens(state, consumed)
-    ht = model.attention_context(state, enc)
-    return model.action_scores(ht, enc)
+    hidden = model.initial_state(enc)
+    for tid in consumed:
+        hidden = model.decoder_advance(hidden, [tid])
+    lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+    return lqv.data[0], lqs.data[0]
+
+
+def attention_weights(model, hidden, enc):
+    """Attention weights [R, n] of rows hidden [R, d], computed the way
+    attend_states computes them."""
+    hp = ad.matmul(hidden, model.params["attn.W_a"])
+    scores = ad.matmul(hp, enc.contextual, transpose_b=True)
+    return np.exp(ad.log_softmax(scores, axis=-1).data)
 
 
 def test_config_validation():
@@ -96,22 +107,21 @@ def test_normalization_defect_small(rng):
         model = random_params_model(vocab, rng, seed=draw)
         n = int(rng.integers(1, 9))
         x = tuple(letters[int(rng.integers(0, len(letters)))] for _ in range(n))
-        dist = scores_for(model, vocab, x)
-        assert dist.normalization_defect() <= 1e-6
+        assert normalization_defect(*scores_for(model, vocab, x)) <= 1e-6
 
 
 def test_span_cell_count_n3():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab)
-    dist = scores_for(model, vocab, tuple(letters[:3]))
-    assert np.isfinite(dist.log_q_span.data).sum() == 6
+    _, log_q_span = scores_for(model, vocab, tuple(letters[:3]))
+    assert np.isfinite(log_q_span).sum() == 6
 
 
 def test_max_copy_len_one_masks_long_spans():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab, max_copy_len=1)
-    dist = scores_for(model, vocab, tuple(letters[:4]))
-    finite = np.argwhere(np.isfinite(dist.log_q_span.data))
+    _, log_q_span = scores_for(model, vocab, tuple(letters[:4]))
+    finite = np.argwhere(np.isfinite(log_q_span))
     assert len(finite) == 4
     assert all(i == j for i, j in finite)  # [i, j-1] cell with j - i == 1
 
@@ -119,29 +129,33 @@ def test_max_copy_len_one_masks_long_spans():
 def test_pad_and_start_have_zero_probability():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab)
-    dist = scores_for(model, vocab, tuple(letters[:3]))
-    assert np.exp(dist.log_q_vocab.data[PAD_ID]) == 0.0
-    assert np.exp(dist.log_q_vocab.data[START_ID]) == 0.0
+    log_q_vocab, _ = scores_for(model, vocab, tuple(letters[:3]))
+    assert np.exp(log_q_vocab[PAD_ID]) == 0.0
+    assert np.exp(log_q_vocab[START_ID]) == 0.0
 
 
 def test_attention_single_position_weight_one():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab)
     enc = model.encode(vocab.ids((letters[0],)))
-    state = model.initial_state(enc)
-    w = model.attention_weights(state, enc)
-    assert w.shape == (1,)
-    assert w[0] == 1.0
+    w = attention_weights(model, model.initial_state(enc), enc)
+    assert w.shape == (1, 1)
+    assert w[0, 0] == 1.0
 
 
 def test_attention_weights_normalize(rng):
     vocab, letters = tiny_vocab()
     model = random_params_model(vocab, rng)
     enc = model.encode(vocab.ids(letters[:5]))
-    state = model.initial_state(enc)
-    w = model.attention_weights(state, enc)
+    hidden = model.initial_state(enc)
+    w = attention_weights(model, hidden, enc)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     assert (w >= 0).all()
+    # attend_states pools the encoder states with these weights
+    p = model.params
+    mixed = np.concatenate([w @ enc.contextual.data, hidden.data], axis=1)
+    want = np.tanh(mixed @ p["attn.W_c"].data.T + p["attn.b_c"].data)
+    assert np.allclose(model.attend_states(hidden, enc).data, want, rtol=0, atol=1e-12)
 
 
 def test_decoder_state_path_independent(rng):
@@ -151,25 +165,26 @@ def test_decoder_state_path_independent(rng):
     enc = model.encode(vocab.ids(x))
     ids = vocab.ids(x)
 
-    base = model.initial_state(enc)
-    assert base.tokens_consumed == 0
-
-    # one span copy versus the same tokens one at a time
-    via_span = model.advance_with_tokens(base, ids[0:3])
-    via_steps = base
-    for tok in ids[0:3]:
-        via_steps = model.decoder_advance(via_steps, tok)
-    assert via_steps.tokens_consumed == via_span.tokens_consumed == 3
-    assert np.array_equal(via_span.hidden.data, via_steps.hidden.data)
+    # single-row steps versus the teacher-forced training route: slot j of
+    # forced_states has consumed START plus j tokens
+    forced = model.forced_states(
+        ad.reshape(enc.summary, (1, -1)), np.asarray([[START_ID] + ids])
+    ).data[0]
+    hidden = model.initial_state(enc)
+    assert np.array_equal(hidden.data[0], forced[0])
+    for j, tok in enumerate(ids, start=1):
+        hidden = model.decoder_advance(hidden, [tok])
+        assert np.array_equal(hidden.data[0], forced[j])
 
 
 def test_action_distribution_log_prob_roundtrip(rng):
     vocab, letters = tiny_vocab()
     model = random_params_model(vocab, rng)
     x = tuple(letters[:4])
-    dist = scores_for(model, vocab, x)
-    assert dist.log_prob(se.Gen(se.EOS_ID)) == dist.log_q_vocab.data[se.EOS_ID]
-    assert dist.log_prob(se.Copy(1, 3)) == dist.log_q_span.data[1, 2]
+    log_q_vocab, log_q_span = scores_for(model, vocab, x)
+    dist = (log_q_vocab, log_q_span)
+    assert action_log_prob(dist, se.Gen(se.EOS_ID)) == log_q_vocab[se.EOS_ID]
+    assert action_log_prob(dist, se.Copy(1, 3)) == log_q_span[1, 2]
 
 
 def test_trained_model_sensitive_to_permutation(trained_insert):
@@ -207,8 +222,8 @@ def test_save_load_roundtrip(tmp_path, rng):
     x = tuple(letters[:4])
     a = scores_for(model, vocab, x, consumed=vocab.ids(x[:2]))
     b = scores_for(loaded, vocab, x, consumed=vocab.ids(x[:2]))
-    assert np.array_equal(a.log_q_vocab.data, b.log_q_vocab.data)
-    assert np.array_equal(a.log_q_span.data, b.log_q_span.data)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_load_rejects_wrong_param_set(tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spanedit as se
 import spanedit.autodiff as ad
@@ -17,6 +18,7 @@ from spanedit.objective import (
     pairs_of,
 )
 from spanedit.oracle import (
+    action_log_prob,
     enumerate_action_sequences,
     sequence_log_prob,
     teacher_forced_distributions,
@@ -118,7 +120,7 @@ def test_empty_output_is_eos_probability(rng):
     x = tuple(letters[:3])
     got = se.marginal_log_likelihood(model, vocab, x, ()).item()
     dist = teacher_forced_distributions(model, vocab, x, ())[0]
-    assert got == pytest.approx(dist.log_prob(se.Gen(EOS_ID)), abs=1e-12)
+    assert got == pytest.approx(action_log_prob(dist, se.Gen(EOS_ID)), abs=1e-12)
 
 
 def test_completeness_sums_to_at_most_one(rng):
@@ -214,10 +216,34 @@ def path_actions(bucket, vocab, x, y):
         else:
             c = int(np.argmax(bucket.lc_copy[0, k]))
             i = int(bucket.copy_i[0, k, c])
-            length = int(bucket.copy_rel[0, k, c]) + 1
+            length = int(bucket.copy_jm1[0, k, c] - bucket.copy_i[0, k, c]) + 1
             out.append(se.Copy(i, i + length))
             k += length
     return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # two in-vocab and two out-of-vocab surfaces: heavy repetition, and
+    # OOV targets that are copyable or fall back to Gen(UNK)
+    x=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), min_size=1, max_size=8),
+    y=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), max_size=8),
+    cap=st.sampled_from([None, 1]),
+)
+def test_bucket_slots_equal_correct_actions(x, y, cap):
+    vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b"])
+    bucket = build_bucket([(x, y)], vocab, cap)
+    for k in range(len(y) + 1):
+        ok = bucket.copy_mask[0, k]
+        slots = [
+            se.Copy(int(i), int(jm1) + 1)
+            for i, jm1 in zip(bucket.copy_i[0, k][ok], bucket.copy_jm1[0, k][ok])
+        ]
+        if bucket.gen_ok[0, k]:
+            slots.append(se.Gen(int(bucket.gen_ids[0, k])))
+        want = se.correct_actions(x, y, vocab, k, cap)
+        assert set(slots) == set(want)
+        assert len(slots) == len(want)
 
 
 def test_grad_check_on_marginal(rng):

@@ -199,7 +199,7 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     events = []
 
     def successors(enc, active):
-        hidden = se.Tensor(np.stack([r[2].hidden.data for r in active]))
+        hidden = se.Tensor(np.concatenate([r[2].data for r in active]))
         lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
         flat = np.concatenate([lqv.data, lqs.data.reshape(len(active), -1)], axis=1)
         out = []
@@ -231,7 +231,7 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     def settle(rays):
         for ray in rays:
             for tid in ray[3]:
-                ray[2] = model.decoder_advance(ray[2], tid)
+                ray[2] = model.decoder_advance(ray[2], [tid])
             ray[3] = ()
 
     with se.no_grad():
