@@ -180,9 +180,7 @@ def test_decoder_state_path_independent(rng):
 def test_action_distribution_log_prob_roundtrip(rng):
     vocab, letters = tiny_vocab()
     model = random_params_model(vocab, rng)
-    x = tuple(letters[:4])
-    log_q_vocab, log_q_span = scores_for(model, vocab, x)
-    dist = (log_q_vocab, log_q_span)
+    log_q_vocab, log_q_span = dist = scores_for(model, vocab, tuple(letters[:4]))
     assert action_log_prob(dist, se.Gen(se.EOS_ID)) == log_q_vocab[se.EOS_ID]
     assert action_log_prob(dist, se.Copy(1, 3)) == log_q_span[1, 2]
 

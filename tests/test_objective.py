@@ -216,7 +216,7 @@ def path_actions(bucket, vocab, x, y):
         else:
             c = int(np.argmax(bucket.lc_copy[0, k]))
             i = int(bucket.copy_i[0, k, c])
-            length = int(bucket.copy_jm1[0, k, c] - bucket.copy_i[0, k, c]) + 1
+            length = int(bucket.copy_jm1[0, k, c]) - i + 1
             out.append(se.Copy(i, i + length))
             k += length
     return out
