@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Minimal op set sized for a recurrent encoder-decoder with a log-space
-dynamic program on top: matmuls, a fused GRU cell, gathers with scatter-add
-backward, and overflow-safe log-space reductions that treat IEEE -inf as
-"masked out" (zero gradient flows through masked entries).
+dynamic program on top: matmuls, a GRU sequence op (one graph node for a
+whole time loop, with a BPTT backward), gathers with scatter-add backward,
+and overflow-safe log-space reductions that treat IEEE -inf as "masked out"
+(zero gradient flows through masked entries).
 
 Graphs are built implicitly: each tensor records its parents and a backward
 closure.  Creation order is a valid topological order because an op's output
@@ -251,17 +252,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _make(out, tuple(parts), back)
 
 
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.stack([p.data for p in parts], axis=axis)
-
-    def back(g):
-        for i, p in enumerate(parts):
-            _acc(p, np.take(g, i, axis=axis))
-
-    return _make(out, tuple(parts), back)
-
-
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     t = as_tensor(t)
     sl = [slice(None)] * t.ndim
@@ -298,16 +288,6 @@ def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             g = np.expand_dims(g, axis)
         _acc(t, np.broadcast_to(g, t.data.shape).copy())
-
-    return _make(out, (t,), back)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    out = 1.0 / (1.0 + np.exp(-t.data))
-
-    def back(g):
-        _acc(t, g * out * (1.0 - out))
 
     return _make(out, (t,), back)
 
@@ -500,12 +480,32 @@ def cumlogsumexp(t: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused GRU cell
+# GRU
 
 
-def gru_cell(
+def gru_cell(x, h, w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n):
+    """One GRU step on arrays: a [B, in] input and a [B, hid] state.
+
+    z = sigmoid(x Wz^T + h Uz^T + bz)
+    r = sigmoid(x Wr^T + h Ur^T + br)
+    n = tanh(x Wn^T + r * (h Un^T) + bn)
+    h' = (1 - z) * n + z * h
+
+    Returns (h', z, r, n, h Un^T); `gru_sequence`'s backward reuses the
+    last four.  No graph is recorded.
+    """
+    zi = x @ w_z.T + h @ u_z.T + b_z
+    ri = x @ w_r.T + h @ u_r.T + b_r
+    z = 1.0 / (1.0 + np.exp(-zi))
+    r = 1.0 / (1.0 + np.exp(-ri))
+    hu = h @ u_n.T
+    n = np.tanh(x @ w_n.T + r * hu + b_n)
+    return (1.0 - z) * n + z * h, z, r, n, hu
+
+
+def gru_sequence(
     x: Tensor,
-    h: Tensor,
+    h0: Tensor,
     w_z: Tensor,
     w_r: Tensor,
     w_n: Tensor,
@@ -515,46 +515,54 @@ def gru_cell(
     b_z: Tensor,
     b_r: Tensor,
     b_n: Tensor,
+    reverse: bool = False,
 ) -> Tensor:
-    """One GRU step on a [B, in] input and [B, hid] state.
+    """A GRU run over time: x [B, T, in] from state h0 [B, hid] -> [B, T, hid].
 
-    z = sigmoid(x Wz^T + h Uz^T + bz)
-    r = sigmoid(x Wr^T + h Ur^T + br)
-    n = tanh(x Wn^T + r * (h Un^T) + bn)
-    h' = (1 - z) * n + z * h
-
-    Fused into a single graph node; the analytic backward below is checked
-    against both a composition of primitive ops and finite differences.
+    Slot t holds the state after consuming x[:, t]; with reverse=True the
+    steps run from t = T-1 down to 0, so slot t has consumed x[:, t:].  The
+    whole loop is one graph node: the forward steps `gru_cell`, the backward
+    runs the steps in reverse (BPTT).  It is checked against a composition
+    of per-step primitive ops and against finite differences.
     """
-    xs, hs = x.data, h.data
-    zi = xs @ w_z.data.T + hs @ u_z.data.T + b_z.data
-    ri = xs @ w_r.data.T + hs @ u_r.data.T + b_r.data
-    z = 1.0 / (1.0 + np.exp(-zi))
-    r = 1.0 / (1.0 + np.exp(-ri))
-    hu = hs @ u_n.data.T
-    ni = xs @ w_n.data.T + r * hu + b_n.data
-    n = np.tanh(ni)
-    out = (1.0 - z) * n + z * hs
+    weights = (w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n)
+    wd = [w.data for w in weights]
+    xs = x.data
+    steps = range(xs.shape[1] - 1, -1, -1) if reverse else range(xs.shape[1])
+    out = np.empty(xs.shape[:2] + h0.data.shape[1:], dtype=h0.data.dtype)
+    saved = []  # (t, state before the step, z, r, n, h Un^T) in step order
+    h = h0.data
+    for t in steps:
+        h_next, z, r, n, hu = gru_cell(xs[:, t], h, *wd)
+        saved.append((t, h, z, r, n, hu))
+        out[:, t] = h = h_next
 
     def back(g):
-        gn = g * (1.0 - z) * (1.0 - n * n)
-        gz = g * (hs - n) * z * (1.0 - z)
-        gr = gn * hu * r * (1.0 - r)
-        gh = g * z + gz @ u_z.data + gr @ u_r.data + (gn * r) @ u_n.data
-        gx = gz @ w_z.data + gr @ w_r.data + gn @ w_n.data
-        _acc(x, gx)
-        _acc(h, gh)
-        _acc(w_z, gz.T @ xs)
-        _acc(w_r, gr.T @ xs)
-        _acc(w_n, gn.T @ xs)
-        _acc(u_z, gz.T @ hs)
-        _acc(u_r, gr.T @ hs)
-        _acc(u_n, (gn * r).T @ hs)
-        _acc(b_z, gz.sum(axis=0))
-        _acc(b_r, gr.sum(axis=0))
-        _acc(b_n, gn.sum(axis=0))
+        gx_all = np.zeros_like(xs)
+        gh = np.zeros_like(h0.data)
+        for t, hs, z, r, n, hu in reversed(saved):
+            gt = g[:, t] + gh
+            gn = gt * (1.0 - z) * (1.0 - n * n)
+            gz = gt * (hs - n) * z * (1.0 - z)
+            gr = gn * hu * r * (1.0 - r)
+            gh = gt * z + gz @ u_z.data + gr @ u_r.data + (gn * r) @ u_n.data
+            gx_all[:, t] = gz @ w_z.data + gr @ w_r.data + gn @ w_n.data
+            # weight gradients accumulate step by step, in the order a
+            # per-step tape would add them, so they round the same way
+            xt = xs[:, t]
+            _acc(w_z, gz.T @ xt)
+            _acc(w_r, gr.T @ xt)
+            _acc(w_n, gn.T @ xt)
+            _acc(u_z, gz.T @ hs)
+            _acc(u_r, gr.T @ hs)
+            _acc(u_n, (gn * r).T @ hs)
+            _acc(b_z, gz.sum(axis=0))
+            _acc(b_r, gr.sum(axis=0))
+            _acc(b_n, gn.sum(axis=0))
+        _acc(x, gx_all)
+        _acc(h0, gh)
 
-    return _make(out, (x, h, w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n), back)
+    return _make(out, (x, h0, *weights), back)
 
 
 # ---------------------------------------------------------------------------

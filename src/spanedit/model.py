@@ -12,12 +12,13 @@ is what the training objective exploits, while decoding materializes the full
 Copying a span of length L advances the decoder exactly like emitting those L
 tokens one at a time, so the decoder state is a function of the token prefix,
 whichever action path produced it.  The decoder works on rows: a state is a
-[R, d] array, advanced by one token per row in one GRU step.  One row stepped
-alone from `initial_state` equals the teacher-forced state of `forced_states`
-bitwise.  A row stepped inside a larger batch may differ from the same row
-stepped alone in the last bits, since BLAS picks its kernel by shape, so
-beam-search merging does not lean on bitwise equality: a merged ray keeps the
-state of its group's first member.
+[R, d] array, advanced by one token per row in one GRU step.  Decoding and
+training step the same kernel (`ad.gru_cell`), so one row stepped alone from
+`initial_state` equals the teacher-forced state of `forced_states` bitwise.
+A row stepped inside a larger batch may differ from the same row stepped
+alone in the last bits, since BLAS picks its kernel by shape, so beam-search
+merging does not lean on bitwise equality: a merged ray keeps the state of
+its group's first member.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ class EncoderOutputs:
 
 
 _GATES = ("z", "r", "n")
+_GRU_WEIGHTS = tuple(f"{kind}_{gate}" for kind in ("W", "U", "b") for gate in _GATES)
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -194,14 +196,9 @@ class SpanCopyModel:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _cell(self, prefix: str, x: Tensor, h: Tensor) -> Tensor:
-        p = self.params
-        return ad.gru_cell(
-            x, h,
-            p[prefix + "W_z"], p[prefix + "W_r"], p[prefix + "W_n"],
-            p[prefix + "U_z"], p[prefix + "U_r"], p[prefix + "U_n"],
-            p[prefix + "b_z"], p[prefix + "b_r"], p[prefix + "b_n"],
-        )
+    def _gru(self, prefix: str) -> tuple[Tensor, ...]:
+        """The nine GRU weights under `prefix`, in `ad.gru_cell` order."""
+        return tuple(self.params[prefix + name] for name in _GRU_WEIGHTS)
 
     # -- encoder
 
@@ -215,27 +212,23 @@ class SpanCopyModel:
             raise ModelError("cannot encode an empty input sequence")
         cfg = self.config
         inp = ad.embed_lookup(self._p("embed.E"), x_ids)  # [B, n, E]
-        fwd_states: list[Tensor] = []
-        bwd_states: list[Tensor] = []
+        h0 = Tensor(np.zeros((bsz, cfg.enc_hidden), dtype=cfg.dtype))
         for layer in range(cfg.enc_layers):
-            indim = inp.shape[-1]
-            xs = [ad.reshape(ad.narrow(inp, 1, t, 1), (bsz, indim)) for t in range(n)]
-            h = Tensor(np.zeros((bsz, cfg.enc_hidden), dtype=cfg.dtype))
-            fwd_states = []
-            for t in range(n):
-                h = self._cell(f"enc.l{layer}.fwd.", xs[t], h)
-                fwd_states.append(h)
-            h = Tensor(np.zeros((bsz, cfg.enc_hidden), dtype=cfg.dtype))
-            bwd_states = [h] * n
-            for t in range(n - 1, -1, -1):
-                h = self._cell(f"enc.l{layer}.bwd.", xs[t], h)
-                bwd_states[t] = h
-            out = ad.concat([ad.stack(fwd_states, 1), ad.stack(bwd_states, 1)], 2)
+            fwd = ad.gru_sequence(inp, h0, *self._gru(f"enc.l{layer}.fwd."))
+            bwd = ad.gru_sequence(inp, h0, *self._gru(f"enc.l{layer}.bwd."), reverse=True)
+            out = ad.concat([fwd, bwd], 2)
             if layer < cfg.enc_layers - 1:
                 inp = ad.dropout(out, cfg.dropout, train, rng)
             else:
                 inp = out
-        last = ad.concat([fwd_states[-1], bwd_states[0]], 1)  # [B, ctx]
+        # the end states: forward after x[n-1], backward after x[0]
+        last = ad.concat(
+            [
+                ad.reshape(ad.narrow(fwd, 1, n - 1, 1), (bsz, cfg.enc_hidden)),
+                ad.reshape(ad.narrow(bwd, 1, 0, 1), (bsz, cfg.enc_hidden)),
+            ],
+            1,
+        )  # [B, ctx]
         summary = ad.tanh(
             ad.add(ad.matmul(last, self._p("enc.bridge.W"), transpose_b=True), self._p("enc.bridge.b"))
         )
@@ -260,9 +253,14 @@ class SpanCopyModel:
 
     def decoder_advance(self, hidden: Tensor, token_ids: Sequence[int]) -> Tensor:
         """Advance R states [R, d] by one token each in one GRU step; row r
-        of the result is row r advanced by token_ids[r]."""
-        emb = ad.embed_lookup(self._p("embed.E"), np.asarray(token_ids))
-        return self._cell("dec.", emb, hidden)
+        of the result is row r advanced by token_ids[r].
+
+        For decoding only: it runs the array kernel, so the result carries
+        no gradient.  Training steps the decoder through `forced_states`.
+        """
+        emb = self._p("embed.E").data[np.asarray(token_ids, dtype=np.int64)]
+        h, *_ = ad.gru_cell(emb, hidden.data, *(w.data for w in self._gru("dec.")))
+        return Tensor(h)
 
     def forced_states(self, summary: Tensor, dec_in: np.ndarray) -> Tensor:
         """Teacher-forced decoder states.
@@ -270,16 +268,8 @@ class SpanCopyModel:
         dec_in: [B, K] ids whose first column is START; returns [B, K, d]
         where slot k is the state after consuming dec_in[:, :k+1].
         """
-        dec_in = np.asarray(dec_in, dtype=np.int64)
-        bsz, k_steps = dec_in.shape
-        emb = ad.embed_lookup(self._p("embed.E"), dec_in)  # [B, K, E]
-        h = summary
-        states = []
-        for k in range(k_steps):
-            x = ad.reshape(ad.narrow(emb, 1, k, 1), (bsz, self.config.embed_dim))
-            h = self._cell("dec.", x, h)
-            states.append(h)
-        return ad.stack(states, 1)
+        emb = ad.embed_lookup(self._p("embed.E"), np.asarray(dec_in, dtype=np.int64))
+        return ad.gru_sequence(emb, summary, *self._gru("dec."))
 
     # -- attention
 

@@ -100,7 +100,8 @@ def correct_actions(
     """Actions at position k that keep the produced tokens a prefix of y.
 
     Never empty: an in-vocab target always has its Gen, an out-of-vocab
-    target is either copyable from x or falls back to Gen(UNK)."""
+    target is either copyable from x or falls back to Gen(UNK).  The Gen, if
+    any, comes first."""
     if not 0 <= k <= len(y):
         raise ValueError(f"position {k} outside [0, {len(y)}]")
     if k == len(y):
@@ -178,13 +179,17 @@ def build_bucket(
         if len(x) != n or len(y) != m:
             raise ValueError("all pairs in a bucket must share (len(x), len(y))")
     bsz, k_steps = len(pairs), m + 1
-    per_pos_copies: list[list[list[Copy]]] = []
+    # per position: its one Gen action or None, and its copies
+    per_pos: list[list[tuple[Gen | None, list[Copy]]]] = []
     for x, y in pairs:
         table = match_table(x, y)
-        per_pos_copies.append(
-            [matching_spans(x, y, k, max_copy_len, table) for k in range(m)] + [[]]
-        )
-    cmax = max(1, max(len(c) for row in per_pos_copies for c in row))
+        row = []
+        for k in range(k_steps):
+            acts = correct_actions(x, y, vocab, k, max_copy_len, table)
+            gen = acts[0] if isinstance(acts[0], Gen) else None
+            row.append((gen, acts[1:] if gen else acts))
+        per_pos.append(row)
+    cmax = max(1, max(len(copies) for row in per_pos for _, copies in row))
 
     x_ids = np.zeros((bsz, n), dtype=np.int64)
     dec_in = np.zeros((bsz, k_steps), dtype=np.int64)
@@ -200,19 +205,10 @@ def build_bucket(
         x_ids[b] = vocab.ids(x)
         dec_in[b, 0] = START_ID
         dec_in[b, 1:] = vocab.ids(y)
-        for k in range(k_steps):
-            copies = per_pos_copies[b][k]
-            if k == m:
-                gen_ids[b, k] = EOS_ID
+        for k, (gen, copies) in enumerate(per_pos[b]):
+            if gen is not None:
+                gen_ids[b, k] = gen.token_id
                 gen_ok[b, k] = True
-            else:
-                gold = y[k]
-                if gold in vocab:
-                    gen_ids[b, k] = vocab.lookup(gold)
-                    gen_ok[b, k] = True
-                elif not copies:
-                    gen_ids[b, k] = UNK_ID
-                    gen_ok[b, k] = True
             for s, cp in enumerate(copies):
                 copy_i[b, k, s] = cp.start
                 copy_jm1[b, k, s] = cp.end - 1
@@ -221,7 +217,7 @@ def build_bucket(
         # earliest start; a position with no copy takes its Gen.
         k = 0
         while k < m:
-            copies = per_pos_copies[b][k]
+            copies = per_pos[b][k][1]
             if copies:
                 best, slot = None, -1
                 for s, cp in enumerate(copies):

@@ -113,48 +113,80 @@ def test_linear_gradcheck(rng):
     assert ad.grad_check(f, params, eps=1e-6) < 5e-7
 
 
-def test_gru_cell_matches_primitive_composition(rng):
-    B, E, H = 3, 4, 5
-    x = t(rng.normal(size=(B, E)))
-    h = t(rng.normal(size=(B, H)))
-    Ws = {g: t(rng.normal(size=(H, E))) for g in ("z", "r", "n")}
-    Us = {g: t(rng.normal(size=(H, H))) for g in ("z", "r", "n")}
-    bs = {g: t(rng.normal(size=(H,))) for g in ("z", "r", "n")}
+def sigmoid(t):
+    """Logistic op: the reference the fused GRU kernel is checked against."""
+    out = 1.0 / (1.0 + np.exp(-t.data))
 
-    fused = ad.gru_cell(
-        x, h, Ws["z"], Ws["r"], Ws["n"], Us["z"], Us["r"], Us["n"], bs["z"], bs["r"], bs["n"]
-    )
+    def back(g):
+        ad._acc(t, g * out * (1.0 - out))
 
-    z = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x, Ws["z"], transpose_b=True), ad.matmul(h, Us["z"], transpose_b=True)), bs["z"])
-    )
-    r = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x, Ws["r"], transpose_b=True), ad.matmul(h, Us["r"], transpose_b=True)), bs["r"])
-    )
-    n = ad.tanh(
-        ad.add(
-            ad.add(ad.matmul(x, Ws["n"], transpose_b=True), ad.mul(r, ad.matmul(h, Us["n"], transpose_b=True))),
-            bs["n"],
+    return ad._make(out, (t,), back)
+
+
+def gru_params(rng, B, T, E, H):
+    params = {"x": t(rng.normal(size=(B, T, E))), "h0": t(rng.normal(size=(B, H)))}
+    for kind, shape in (("W", (H, E)), ("U", (H, H)), ("b", (H,))):
+        for g in ("z", "r", "n"):
+            params[f"{kind}_{g}"] = t(rng.normal(size=shape))
+    return params
+
+
+def run_gru_sequence(p, reverse):
+    weights = [p[f"{kind}_{g}"] for kind in "WUb" for g in "zrn"]
+    return ad.gru_sequence(p["x"], p["h0"], *weights, reverse=reverse)
+
+
+def composed_gru_sequence(p, reverse):
+    """The same recurrence as one tape node per primitive op per step."""
+    B, T, E = p["x"].shape
+
+    def lin(x, h, g):
+        return ad.add(
+            ad.add(ad.matmul(x, p[f"W_{g}"], transpose_b=True), ad.matmul(h, p[f"U_{g}"], transpose_b=True)),
+            p[f"b_{g}"],
         )
-    )
-    composed = ad.add(ad.mul(ad.sub(1.0, z), n), ad.mul(z, h))
-    assert np.allclose(fused.data, composed.data, atol=1e-12)
+
+    h = p["h0"]
+    states = [None] * T
+    for step in reversed(range(T)) if reverse else range(T):
+        x = ad.reshape(ad.narrow(p["x"], 1, step, 1), (B, E))
+        z = sigmoid(lin(x, h, "z"))
+        r = sigmoid(lin(x, h, "r"))
+        n = ad.tanh(
+            ad.add(
+                ad.add(ad.matmul(x, p["W_n"], transpose_b=True), ad.mul(r, ad.matmul(h, p["U_n"], transpose_b=True))),
+                p["b_n"],
+            )
+        )
+        h = ad.add(ad.mul(ad.sub(1.0, z), n), ad.mul(z, h))
+        states[step] = ad.reshape(h, (B, 1, h.shape[1]))
+    return ad.concat(states, 1)
 
 
-def test_gru_cell_gradcheck(rng):
-    B, E, H = 2, 3, 4
-    params = {"x": t(rng.normal(size=(B, E))), "h": t(rng.normal(size=(B, H)))}
-    for g in ("z", "r", "n"):
-        params[f"W_{g}"] = t(rng.normal(size=(H, E)))
-        params[f"U_{g}"] = t(rng.normal(size=(H, H)))
-        params[f"b_{g}"] = t(rng.normal(size=(H,)))
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("T", [1, 3])
+def test_gru_sequence_matches_per_step_composition(rng, T, reverse):
+    p = gru_params(rng, 3, T, 4, 5)
+    probe = rng.normal(size=(3, T, 5))
+    results = []
+    for build in (run_gru_sequence, composed_gru_sequence):
+        ad.zero_grad(p.values())
+        out = build(p, reverse)
+        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
+        results.append((out.data, {k: v.grad_array().copy() for k, v in p.items()}))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert fused.shape == (3, T, 5)
+    assert np.allclose(fused, composed, rtol=0, atol=1e-12)
+    for k in p:
+        assert np.allclose(fused_grads[k], composed_grads[k], rtol=0, atol=1e-12), k
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_gradcheck(rng, reverse):
+    params = gru_params(rng, 2, 3, 3, 4)
 
     def f():
-        p = params
-        out = ad.gru_cell(
-            p["x"], p["h"], p["W_z"], p["W_r"], p["W_n"],
-            p["U_z"], p["U_r"], p["U_n"], p["b_z"], p["b_r"], p["b_n"],
-        )
+        out = run_gru_sequence(params, reverse)
         return ad.reduce_sum(ad.mul(out, out))
 
     assert ad.grad_check(f, params, eps=1e-5) < 1e-4
@@ -172,7 +204,7 @@ def test_take_last_and_where_gradients(rng):
     assert ad.grad_check(f, params, eps=1e-6) < 1e-8
 
 
-def test_concat_narrow_stack_roundtrip(rng):
+def test_concat_narrow_roundtrip(rng):
     a = t(rng.normal(size=(2, 3)))
     b = t(rng.normal(size=(2, 2)))
     joined = ad.concat([a, b], axis=1)
@@ -180,10 +212,6 @@ def test_concat_narrow_stack_roundtrip(rng):
     ad.backward(ad.reduce_sum(ad.mul(back, back)))
     assert np.allclose(a.grad_array(), 2 * a.data)
     assert np.array_equal(b.grad_array(), np.zeros_like(b.data))
-
-    parts = [t(rng.normal(size=(3,))) for _ in range(4)]
-    stacked = ad.stack(parts, axis=0)
-    assert stacked.data.shape == (4, 3)
 
 
 def test_embed_lookup_accumulates_repeats():

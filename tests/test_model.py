@@ -101,6 +101,30 @@ def test_encode_deterministic_in_eval():
     assert np.array_equal(a, b)
 
 
+def tensors_created(f):
+    """Number of Tensors `f()` creates, read from the creation counter."""
+    before = ad.Tensor(0.0)._order
+    f()
+    return ad.Tensor(0.0)._order - before - 1
+
+
+def test_tape_size_independent_of_length(rng):
+    # each GRU run is one graph node, not one node per time step
+    vocab, _ = tiny_vocab()
+    model = random_params_model(vocab, rng)
+    summary = ad.Tensor(rng.normal(size=(2, model.config.dec_hidden)))
+    encoded = {
+        n: tensors_created(lambda: model.encode_batch(rng.integers(4, vocab.size, size=(2, n))))
+        for n in (1, 4, 9)
+    }
+    forced = {
+        k: tensors_created(lambda: model.forced_states(summary, rng.integers(4, vocab.size, size=(2, k))))
+        for k in (1, 5, 11)
+    }
+    assert len(set(encoded.values())) == 1, encoded
+    assert len(set(forced.values())) == 1, forced
+
+
 def test_normalization_defect_small(rng):
     vocab, letters = tiny_vocab()
     for draw in range(20):
