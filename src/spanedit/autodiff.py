@@ -6,6 +6,12 @@ whole time loop, with a BPTT backward), gathers with scatter-add backward,
 and overflow-safe log-space reductions that treat IEEE -inf as "masked out"
 (zero gradient flows through masked entries).
 
+The GRU step kernel `gru_cell` works on arrays with the three gates stacked
+in z, r, n order, so a step is two matmuls.  Parameters stay per gate (nine
+tensors per GRU, as the model and its checkpoints name them); `stack_gates`
+concatenates them for the kernel, and `gru_sequence`'s backward computes the
+weight gradients once per sequence and splits them back per gate.
+
 Graphs are built implicitly: each tensor records its parents and a backward
 closure.  Creation order is a valid topological order because an op's output
 is always created after its inputs, so ``backward`` just replays tensors in
@@ -14,7 +20,7 @@ passes may run on independent threads (grad mode is thread-local).
 
 Also home to the checkpoint container: format version 1, a JSON document
 mapping parameter name -> shape + base64 row-major little-endian payload,
-with the float precision recorded in the header.
+with the float precision recorded in the header, written atomically.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .atomic import atomic_write
 
 NEG_INF = float("-inf")
 
@@ -483,24 +491,35 @@ def cumlogsumexp(t: Tensor) -> Tensor:
 # GRU
 
 
-def gru_cell(x, h, w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n):
-    """One GRU step on arrays: a [B, in] input and a [B, hid] state.
+def stack_gates(w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n):
+    """The nine per-gate GRU weight Tensors as the stacked arrays `gru_cell`
+    takes: w [3h, in], u [3h, h], b [3h], gates in z, r, n order."""
+    d = [p.data for p in (w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n)]
+    return np.concatenate(d[0:3]), np.concatenate(d[3:6]), np.concatenate(d[6:9])
+
+
+def gru_cell(x, h, w, u, b):
+    """One GRU step on arrays: a [B, in] input and a [B, hid] state, with the
+    gates stacked in z, r, n order (w [3h, in], u [3h, h], b [3h], as built
+    by `stack_gates`).
 
     z = sigmoid(x Wz^T + h Uz^T + bz)
     r = sigmoid(x Wr^T + h Ur^T + br)
     n = tanh(x Wn^T + r * (h Un^T) + bn)
     h' = (1 - z) * n + z * h
 
-    Returns (h', z, r, n, h Un^T); `gru_sequence`'s backward reuses the
-    last four.  No graph is recorded.
+    That is two matmuls, `x w^T` and `h u^T`, and one sigmoid over the first
+    2h columns.  Returns (h', z, r, n, h Un^T); `gru_sequence`'s backward
+    reuses the last four.  No graph is recorded.
     """
-    zi = x @ w_z.T + h @ u_z.T + b_z
-    ri = x @ w_r.T + h @ u_r.T + b_r
-    z = 1.0 / (1.0 + np.exp(-zi))
-    r = 1.0 / (1.0 + np.exp(-ri))
-    hu = h @ u_n.T
-    n = np.tanh(x @ w_n.T + r * hu + b_n)
-    return (1.0 - z) * n + z * h, z, r, n, hu
+    hid = h.shape[-1]
+    xw = x @ w.T
+    hu = h @ u.T
+    zr = 1.0 / (1.0 + np.exp(-(xw[:, : 2 * hid] + hu[:, : 2 * hid] + b[: 2 * hid])))
+    z, r = zr[:, :hid], zr[:, hid:]
+    hu_n = hu[:, 2 * hid :]
+    n = np.tanh(xw[:, 2 * hid :] + r * hu_n + b[2 * hid :])
+    return (1.0 - z) * n + z * h, z, r, n, hu_n
 
 
 def gru_sequence(
@@ -521,46 +540,58 @@ def gru_sequence(
 
     Slot t holds the state after consuming x[:, t]; with reverse=True the
     steps run from t = T-1 down to 0, so slot t has consumed x[:, t:].  The
-    whole loop is one graph node: the forward steps `gru_cell`, the backward
-    runs the steps in reverse (BPTT).  It is checked against a composition
-    of per-step primitive ops and against finite differences.
+    whole loop is one graph node.  The forward stacks the nine per-gate
+    weights once (`stack_gates`) and steps `gru_cell`, projecting each
+    step's input inside the kernel as decoding does.  The backward (BPTT)
+    runs one `[B, 3h] @ [3h, h]` matmul per step and keeps the stacked gate
+    gradients; the input and weight gradients are then three matmuls and a
+    sum over the whole sequence, split back into the per-gate parameters.
+    It is checked against a composition of per-step primitive ops and
+    against finite differences.
     """
     weights = (w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n)
-    wd = [w.data for w in weights]
+    w, u, b = stack_gates(*weights)
     xs = x.data
-    steps = range(xs.shape[1] - 1, -1, -1) if reverse else range(xs.shape[1])
-    out = np.empty(xs.shape[:2] + h0.data.shape[1:], dtype=h0.data.dtype)
-    saved = []  # (t, state before the step, z, r, n, h Un^T) in step order
+    bsz, steps_n = xs.shape[:2]
+    hid = h0.data.shape[1]
+    steps = range(steps_n - 1, -1, -1) if reverse else range(steps_n)
+    out = np.empty((bsz, steps_n, hid), dtype=h0.data.dtype)
+    prev = np.empty_like(out)  # slot t: the state before consuming x[:, t]
+    saved = [None] * steps_n  # slot t: (z, r, n, h Un^T) of that step
     h = h0.data
     for t in steps:
-        h_next, z, r, n, hu = gru_cell(xs[:, t], h, *wd)
-        saved.append((t, h, z, r, n, hu))
-        out[:, t] = h = h_next
+        prev[:, t] = h
+        h, z, r, n, hu = gru_cell(xs[:, t], h, w, u, b)
+        saved[t] = (z, r, n, hu.copy())  # the copy frees the rest of h u^T
+        out[:, t] = h
 
     def back(g):
-        gx_all = np.zeros_like(xs)
+        # d pre-activations per step, gates stacked z, r, n
+        gates = np.empty((bsz, steps_n, 3 * hid), dtype=out.dtype)
         gh = np.zeros_like(h0.data)
-        for t, hs, z, r, n, hu in reversed(saved):
+        for t in reversed(steps):
+            z, r, n, hu = saved[t]
             gt = g[:, t] + gh
             gn = gt * (1.0 - z) * (1.0 - n * n)
-            gz = gt * (hs - n) * z * (1.0 - z)
+            gz = gt * (prev[:, t] - n) * z * (1.0 - z)
             gr = gn * hu * r * (1.0 - r)
-            gh = gt * z + gz @ u_z.data + gr @ u_r.data + (gn * r) @ u_n.data
-            gx_all[:, t] = gz @ w_z.data + gr @ w_r.data + gn @ w_n.data
-            # weight gradients accumulate step by step, in the order a
-            # per-step tape would add them, so they round the same way
-            xt = xs[:, t]
-            _acc(w_z, gz.T @ xt)
-            _acc(w_r, gr.T @ xt)
-            _acc(w_n, gn.T @ xt)
-            _acc(u_z, gz.T @ hs)
-            _acc(u_r, gr.T @ hs)
-            _acc(u_n, (gn * r).T @ hs)
-            _acc(b_z, gz.sum(axis=0))
-            _acc(b_r, gr.sum(axis=0))
-            _acc(b_n, gn.sum(axis=0))
-        _acc(x, gx_all)
+            gates[:, t, :hid], gates[:, t, hid : 2 * hid], gates[:, t, 2 * hid :] = gz, gr, gn
+            gu = gates[:, t].copy()
+            gu[:, 2 * hid :] *= r  # h reaches n through r * (h Un^T)
+            gh = gt * z + gu @ u
+        flat = gates.reshape(-1, 3 * hid)
+        _acc(x, (flat @ w).reshape(xs.shape))
         _acc(h0, gh)
+        gw = flat.T @ xs.reshape(-1, xs.shape[2])
+        gb = flat.sum(axis=0)
+        for t, (_, r, _, _) in enumerate(saved):  # now the gradient of h Un^T
+            gates[:, t, 2 * hid :] *= r
+        gu = flat.T @ prev.reshape(-1, hid)
+        for i, (pw, pu, pb) in enumerate(zip(weights[0:3], weights[3:6], weights[6:9])):
+            rows = slice(i * hid, (i + 1) * hid)
+            _acc(pw, gw[rows])
+            _acc(pu, gu[rows])
+            _acc(pb, gb[rows])
 
     return _make(out, (x, h0, *weights), back)
 
@@ -641,7 +672,7 @@ def save_checkpoint(
             if k in doc:
                 raise CheckpointError(f"header key {k!r} is reserved")
             doc[k] = v
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

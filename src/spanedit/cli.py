@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .atomic import atomic_write
 from .autodiff import CheckpointError
 from .corpus import (
     CorpusError,
@@ -246,9 +247,8 @@ def _write_meta(out_path: str, command: str, options: dict) -> None:
         "config_hash": config_hash(options),
         "options": {k: v for k, v in sorted(options.items())},
     }
-    Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(str(out_path) + ".meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _split_by_index(examples: list[EditExample]) -> dict[str, list[EditExample]]:
@@ -309,9 +309,8 @@ def _cmd_gen_data(opt: dict) -> int:
         "options": {k: v for k, v in sorted(opt.items())},
         "split_sizes": {name: len(exs) for name, exs in splits.items()},
     }
-    (out_dir / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     logger.info(
         "wrote %d %s examples to %s (train/valid/test %d/%d/%d)",
         len(examples), opt["task"], out_dir,
@@ -418,7 +417,7 @@ def _cmd_decode(opt: dict) -> int:
         for row in rows:
             sys.stdout.write(json.dumps(row, ensure_ascii=False) + "\n")
     else:
-        with open(opt["out"], "w", encoding="utf-8") as fh:
+        with atomic_write(opt["out"]) as fh:
             for row in rows:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
         _write_meta(opt["out"], "decode", opt)

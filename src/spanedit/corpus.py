@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .atomic import atomic_write
+
 PAD_ID, START_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 PAD, START, EOS, UNK = "<pad>", "<s>", "</s>", "<unk>"
 RESERVED_SURFACES = (PAD, START, EOS, UNK)
@@ -227,7 +229,7 @@ def generate_corpus(spec: TaskSpec, count: int) -> list[EditExample]:
 
 
 def write_corpus(path, examples: Iterable[EditExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             rec = {"input": list(ex.input), "output": list(ex.output), "task": ex.task}
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
@@ -309,7 +311,7 @@ def build_vocab(examples: Iterable[EditExample], max_size: int = 10000) -> Vocab
 
 
 def save_vocab(path, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in vocab.surfaces:
             fh.write(s + "\n")
 

@@ -7,9 +7,9 @@ import json
 import re
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
+from .atomic import atomic_write
 from .corpus import EditExample, Vocab
 from .model import Action, Copy, SpanCopyModel
 from .search import BeamResult, decode
@@ -100,7 +100,7 @@ def span_length_stats(traces: Iterable[Sequence[Action]]) -> SpanLengthStats:
 
 
 def write_histogram_csv(path, stats: SpanLengthStats) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["span_length", "count"])
         for length, count in sorted(stats.histogram.items()):
@@ -129,7 +129,8 @@ class EvalReport:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json() + "\n")
 
 
 def _aggregate(rows: list[dict[str, float]]) -> dict[str, float]:

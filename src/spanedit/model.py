@@ -13,8 +13,9 @@ Copying a span of length L advances the decoder exactly like emitting those L
 tokens one at a time, so the decoder state is a function of the token prefix,
 whichever action path produced it.  The decoder works on rows: a state is a
 [R, d] array, advanced by one token per row in one GRU step.  Decoding and
-training step the same kernel (`ad.gru_cell`), so one row stepped alone from
-`initial_state` equals the teacher-forced state of `forced_states` bitwise.
+training step the same kernel (`ad.gru_cell`) on the same stacked gate
+weights, so one row stepped alone from `initial_state` equals the
+teacher-forced state of `forced_states` bitwise.
 A row stepped inside a larger batch may differ from the same row stepped
 alone in the last bits, since BLAS picks its kernel by shape, so beam-search
 merging does not lean on bitwise equality: a merged ray keeps the state of
@@ -197,7 +198,8 @@ class SpanCopyModel:
         return self.params[name]
 
     def _gru(self, prefix: str) -> tuple[Tensor, ...]:
-        """The nine GRU weights under `prefix`, in `ad.gru_cell` order."""
+        """The nine per-gate GRU weights under `prefix`, in `ad.gru_sequence`
+        order (W, U, b; gates z, r, n)."""
         return tuple(self.params[prefix + name] for name in _GRU_WEIGHTS)
 
     # -- encoder
@@ -259,7 +261,7 @@ class SpanCopyModel:
         no gradient.  Training steps the decoder through `forced_states`.
         """
         emb = self._p("embed.E").data[np.asarray(token_ids, dtype=np.int64)]
-        h, *_ = ad.gru_cell(emb, hidden.data, *(w.data for w in self._gru("dec.")))
+        h, *_ = ad.gru_cell(emb, hidden.data, *ad.stack_gates(*self._gru("dec.")))
         return Tensor(h)
 
     def forced_states(self, summary: Tensor, dec_in: np.ndarray) -> Tensor:

@@ -25,7 +25,10 @@ position's correct-action set independently (no continuation term), and
 matching copy.  Both reuse the same gathered scores.
 
 Batches group examples of identical (len(x), len(y)) shape, so no padding or
-length masks ever enter the math.
+length masks ever enter the math.  A bucket's gather indices are built as
+arrays from the pairs' match tables (`build_bucket`), with no action objects;
+`correct_actions` and `matching_spans` give the same sets as `Gen`/`Copy`
+lists for the oracle and for callers, and the tests pin one to the other.
 """
 
 from __future__ import annotations
@@ -55,17 +58,28 @@ class DivergenceError(RuntimeError):
 # Correct actions
 
 
+def _codes(seqs: Sequence[Sequence[str]], codes: dict[str, int]) -> np.ndarray:
+    """Same-length token sequences as an int array [len(seqs), len]; equal
+    surfaces get equal codes, with `codes` shared across calls."""
+    return np.array([[codes.setdefault(s, len(codes)) for s in seq] for seq in seqs], dtype=np.int64)
+
+
+def _match_tables(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`match_table` of B pairs at once: codes xs [B, n], ys [B, m] ->
+    [B, n + 1, m + 1].  One numpy op per row of x."""
+    bsz, n = xs.shape
+    m = ys.shape[1]
+    eq = xs[:, :, None] == ys[:, None, :]
+    table = np.zeros((bsz, n + 1, m + 1), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        table[:, i, :m] = eq[:, i] * (table[:, i + 1, 1:] + 1)
+    return table
+
+
 def match_table(x: Sequence[str], y: Sequence[str]) -> np.ndarray:
     """table[i, k] = length of the longest common prefix of x[i:] and y[k:]."""
-    n, m = len(x), len(y)
-    table = np.zeros((n + 1, m + 1), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        row, nxt = table[i], table[i + 1]
-        xi = x[i]
-        for k in range(m - 1, -1, -1):
-            if xi == y[k]:
-                row[k] = nxt[k + 1] + 1
-    return table
+    codes: dict[str, int] = {}
+    return _match_tables(_codes([x], codes), _codes([y], codes))[0]
 
 
 def matching_spans(
@@ -126,10 +140,12 @@ class Bucket:
 
     K = m + 1 teacher-forced positions.  gen_ids/gen_ok give the correct
     vocab action per position (slot m is always EOS).  copy_* flatten each
-    position's correct copies into C slots: start index, end-1 index and a
-    validity mask; copy_jm1 - copy_i = length - 1 is the continuation offset
-    into the DP suffix.  lc_gen/lc_copy mark the single longest-copy path's
-    choices.
+    position's correct copies into C slots (C is the bucket's largest count,
+    at least 1), ordered by start and then by length, unused slots zero:
+    start index, end-1 index and a validity mask; copy_jm1 - copy_i =
+    length - 1 is the continuation offset into the DP suffix.  lc_gen/lc_copy
+    mark the single longest-copy path's choices: at each position it visits,
+    the longest copy (ties to the earliest start), else the Gen.
     """
 
     n: int
@@ -171,6 +187,8 @@ def build_bucket(
     vocab: Vocab,
     max_copy_len: int | None = None,
 ) -> Bucket:
+    """The `Bucket` of same-shape pairs, from their match tables: the copies
+    at position k from start i have lengths 1..min(table[i, k], cap)."""
     if not pairs:
         raise ValueError("bucket needs at least one pair")
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
@@ -179,59 +197,69 @@ def build_bucket(
         if len(x) != n or len(y) != m:
             raise ValueError("all pairs in a bucket must share (len(x), len(y))")
     bsz, k_steps = len(pairs), m + 1
-    # per position: its one Gen action or None, and its copies
-    per_pos: list[list[tuple[Gen | None, list[Copy]]]] = []
-    for x, y in pairs:
-        table = match_table(x, y)
-        row = []
-        for k in range(k_steps):
-            acts = correct_actions(x, y, vocab, k, max_copy_len, table)
-            gen = acts[0] if isinstance(acts[0], Gen) else None
-            row.append((gen, acts[1:] if gen else acts))
-        per_pos.append(row)
-    cmax = max(1, max(len(copies) for row in per_pos for _, copies in row))
+    codes: dict[str, int] = {}
+    table = _match_tables(_codes([x for x, _ in pairs], codes), _codes([y for _, y in pairs], codes))
+    # lengths[b, k, i]: the copies from x[i] at position k have lengths
+    # 1..lengths[b, k, i]; position m has none (table column m is zero)
+    lengths = table[:, :n, :].transpose(0, 2, 1)
+    if max_copy_len is not None:
+        lengths = np.minimum(lengths, max_copy_len)
+    lengths = np.ascontiguousarray(lengths)
+    counts = lengths.sum(axis=2)  # [B, K]
+    cmax = max(1, int(counts.max()))
 
-    x_ids = np.zeros((bsz, n), dtype=np.int64)
-    dec_in = np.zeros((bsz, k_steps), dtype=np.int64)
-    gen_ids = np.zeros((bsz, k_steps), dtype=np.int64)
-    gen_ok = np.zeros((bsz, k_steps), dtype=bool)
-    copy_i = np.zeros((bsz, k_steps, cmax), dtype=np.int64)
-    copy_jm1 = np.zeros((bsz, k_steps, cmax), dtype=np.int64)
-    copy_mask = np.zeros((bsz, k_steps, cmax), dtype=bool)
+    # Copy slots of one row (b, k) go by start, then by length.  Span s of
+    # all rows has start starts[s] and length within[s] + 1, and takes slot
+    # slots[s] of row rows[s].
+    per_start = lengths.reshape(-1)
+    per_row = counts.reshape(-1)
+    total = int(per_row.sum())
+    spans = np.arange(total)
+    within = spans - np.repeat(np.cumsum(per_start) - per_start, per_start)
+    starts = np.repeat(np.tile(np.arange(n), bsz * k_steps), per_start)
+    rows = np.repeat(np.arange(bsz * k_steps), per_row)
+    slots = spans - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    copy_i = np.zeros((bsz * k_steps, cmax), dtype=np.int64)
+    copy_jm1 = np.zeros((bsz * k_steps, cmax), dtype=np.int64)
+    copy_mask = np.zeros((bsz * k_steps, cmax), dtype=bool)
+    copy_i[rows, slots] = starts
+    copy_jm1[rows, slots] = starts + within
+    copy_mask[rows, slots] = True
+    copy_i, copy_jm1, copy_mask = (
+        a.reshape(bsz, k_steps, cmax) for a in (copy_i, copy_jm1, copy_mask)
+    )
+
+    # An in-vocab target has its Gen; an out-of-vocab one (vocab.ids gives
+    # UNK) has Gen(UNK) only when it cannot be copied; position m is EOS.
+    x_ids = np.array([vocab.ids(x) for x, _ in pairs], dtype=np.int64)
+    y_ids = np.array([vocab.ids(y) for _, y in pairs], dtype=np.int64)
+    in_vocab = np.array([[s in vocab for s in y] for _, y in pairs], dtype=bool)
+    dec_in = np.concatenate([np.full((bsz, 1), START_ID, dtype=np.int64), y_ids], axis=1)
+    gen_ok = np.ones((bsz, k_steps), dtype=bool)
+    gen_ok[:, :m] = in_vocab | (counts[:, :m] == 0)
+    gen_ids = np.full((bsz, k_steps), EOS_ID, dtype=np.int64)
+    gen_ids[:, :m] = np.where(gen_ok[:, :m], y_ids, 0)
+
+    # Longest-copy path: the longest matching copy, ties to the earliest
+    # start (argmax takes the first); a position with no copy takes its Gen.
+    best_len = lengths.max(axis=2, initial=0)
+    best_slot = np.zeros_like(best_len)
+    if n:
+        first_slot = np.cumsum(lengths, axis=2) - lengths  # each start's length-1 copy
+        best_i = lengths.argmax(axis=2)[..., None]
+        best_slot = np.take_along_axis(first_slot, best_i, axis=2)[..., 0] + best_len - 1
     lc_gen = np.zeros((bsz, k_steps), dtype=bool)
     lc_copy = np.zeros((bsz, k_steps, cmax), dtype=bool)
-
-    for b, (x, y) in enumerate(pairs):
-        x_ids[b] = vocab.ids(x)
-        dec_in[b, 0] = START_ID
-        dec_in[b, 1:] = vocab.ids(y)
-        for k, (gen, copies) in enumerate(per_pos[b]):
-            if gen is not None:
-                gen_ids[b, k] = gen.token_id
-                gen_ok[b, k] = True
-            for s, cp in enumerate(copies):
-                copy_i[b, k, s] = cp.start
-                copy_jm1[b, k, s] = cp.end - 1
-                copy_mask[b, k, s] = True
-        # longest-copy path: greedy longest matching copy, ties to the
-        # earliest start; a position with no copy takes its Gen.
-        k = 0
-        while k < m:
-            copies = per_pos[b][k][1]
-            if copies:
-                best, slot = None, -1
-                for s, cp in enumerate(copies):
-                    key = (-(cp.end - cp.start), cp.start)
-                    if best is None or key < best:
-                        best, slot = key, s
-                lc_copy[b, k, slot] = True
-                k += copies[slot].end - copies[slot].start
-            else:
-                if not gen_ok[b, k]:
-                    raise AssertionError("position with neither copies nor a gen action")
-                lc_gen[b, k] = True
-                k += 1
-        lc_gen[b, m] = True
+    at = np.zeros(bsz, dtype=np.int64)
+    rows = np.arange(bsz)
+    while (live := at < m).any():
+        b, k = rows[live], at[live]
+        step = best_len[b, k]
+        copy = step > 0
+        lc_copy[b[copy], k[copy], best_slot[b[copy], k[copy]]] = True
+        lc_gen[b[~copy], k[~copy]] = True
+        at[live] = k + np.maximum(step, 1)
+    lc_gen[:, m] = True
     return Bucket(
         n, m, pairs, x_ids, dec_in, gen_ids, gen_ok,
         copy_i, copy_jm1, copy_mask, lc_gen, lc_copy,

@@ -123,11 +123,14 @@ def sigmoid(t):
     return ad._make(out, (t,), back)
 
 
-def gru_params(rng, B, T, E, H):
-    params = {"x": t(rng.normal(size=(B, T, E))), "h0": t(rng.normal(size=(B, H)))}
+def gru_params(rng, B, T, E, H, dtype=np.float64):
+    def draw(*shape):
+        return ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    params = {"x": draw(B, T, E), "h0": draw(B, H)}
     for kind, shape in (("W", (H, E)), ("U", (H, H)), ("b", (H,))):
         for g in ("z", "r", "n"):
-            params[f"{kind}_{g}"] = t(rng.normal(size=shape))
+            params[f"{kind}_{g}"] = draw(*shape)
     return params
 
 
@@ -163,11 +166,25 @@ def composed_gru_sequence(p, reverse):
     return ad.concat(states, 1)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("T", [1, 3])
-def test_gru_sequence_matches_per_step_composition(rng, T, reverse):
-    p = gru_params(rng, 3, T, 4, 5)
-    probe = rng.normal(size=(3, T, 5))
+# Largest absolute gap allowed between the fused op and the composition:
+# 1e-12 in float64; in float32, 1e-4, since both sides round every product
+# and sum to float32, in different orders (over 1,200 random draws of these
+# shapes with T up to 8, the largest gap was 9.5e-6, at magnitudes up to 26).
+GRU_TOL = {np.float64: 1e-12, np.float32: 1e-4}
+
+
+@pytest.mark.parametrize(
+    "T, reverse, dtype",
+    [
+        pytest.param(T, reverse, dtype, id=f"{T}-{reverse}" + ("-float32" if dtype == np.float32 else ""))
+        for dtype in (np.float64, np.float32)
+        for T in (1, 3)
+        for reverse in (False, True)
+    ],
+)
+def test_gru_sequence_matches_per_step_composition(rng, T, reverse, dtype):
+    p = gru_params(rng, 3, T, 4, 5, dtype)
+    probe = rng.normal(size=(3, T, 5)).astype(dtype)
     results = []
     for build in (run_gru_sequence, composed_gru_sequence):
         ad.zero_grad(p.values())
@@ -175,10 +192,11 @@ def test_gru_sequence_matches_per_step_composition(rng, T, reverse):
         ad.backward(ad.reduce_sum(ad.mul(out, probe)))
         results.append((out.data, {k: v.grad_array().copy() for k, v in p.items()}))
     (fused, fused_grads), (composed, composed_grads) = results
-    assert fused.shape == (3, T, 5)
-    assert np.allclose(fused, composed, rtol=0, atol=1e-12)
+    assert fused.shape == (3, T, 5) and fused.dtype == dtype
+    assert np.allclose(fused, composed, rtol=0, atol=GRU_TOL[dtype])
     for k in p:
-        assert np.allclose(fused_grads[k], composed_grads[k], rtol=0, atol=1e-12), k
+        assert fused_grads[k].dtype == dtype, k
+        assert np.allclose(fused_grads[k], composed_grads[k], rtol=0, atol=GRU_TOL[dtype]), k
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -260,28 +260,62 @@ def path_actions(bucket, vocab, x, y):
     return out
 
 
+def longest_copy_reference(x, y, vocab, cap):
+    """(position, action) of the longest-copy path, from correct_actions:
+    the longest copy, ties to the earliest start, else the Gen."""
+    path, k = [], 0
+    while k < len(y):
+        acts = se.correct_actions(x, y, vocab, k, cap)
+        copies = [a for a in acts if isinstance(a, se.Copy)]
+        if copies:
+            best = min(copies, key=lambda c: (c.start - c.end, c.start))
+            path.append((k, best))
+            k += best.end - best.start
+        else:
+            path.append((k, acts[0]))
+            k += 1
+    return path + [(len(y), se.Gen(EOS_ID))]
+
+
+# Token pools: two in-vocab and two out-of-vocab surfaces (OOV targets that
+# are copyable or fall back to Gen(UNK)), one repeated surface (the most
+# copy slots per position) and out-of-vocab surfaces only.
+BUCKET_POOLS = (["a", "b", "zz", "qq"], ["a"], ["zz", "qq"])
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """2-4 pairs sharing one (len(x), len(y)), over one token pool."""
+    tokens = st.sampled_from(draw(st.sampled_from(BUCKET_POOLS)))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    return [
+        (draw(st.lists(tokens, min_size=n, max_size=n)), draw(st.lists(tokens, min_size=m, max_size=m)))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    # two in-vocab and two out-of-vocab surfaces: heavy repetition, and
-    # OOV targets that are copyable or fall back to Gen(UNK)
-    x=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), min_size=1, max_size=8),
-    y=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), max_size=8),
-    cap=st.sampled_from([None, 1]),
-)
-def test_bucket_slots_equal_correct_actions(x, y, cap):
+@given(pairs=same_shape_pairs(), cap=st.sampled_from([None, 1]))
+def test_bucket_slots_equal_correct_actions(pairs, cap):
     vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b"])
-    bucket = build_bucket([(x, y)], vocab, cap)
-    for k in range(len(y) + 1):
-        ok = bucket.copy_mask[0, k]
-        slots = [
-            se.Copy(int(i), int(jm1) + 1)
-            for i, jm1 in zip(bucket.copy_i[0, k][ok], bucket.copy_jm1[0, k][ok])
-        ]
-        if bucket.gen_ok[0, k]:
-            slots.append(se.Gen(int(bucket.gen_ids[0, k])))
-        want = se.correct_actions(x, y, vocab, k, cap)
-        assert set(slots) == set(want)
-        assert len(slots) == len(want)
+    bucket = build_bucket(pairs, vocab, cap)
+    for b, (x, y) in enumerate(pairs):
+        for k in range(len(y) + 1):
+            ok = bucket.copy_mask[b, k]
+            slots = [
+                se.Copy(int(i), int(jm1) + 1)
+                for i, jm1 in zip(bucket.copy_i[b, k][ok], bucket.copy_jm1[b, k][ok])
+            ]
+            if bucket.gen_ok[b, k]:
+                slots.append(se.Gen(int(bucket.gen_ids[b, k])))
+            want = se.correct_actions(x, y, vocab, k, cap)
+            assert set(slots) == set(want)
+            assert len(slots) == len(want)
+        path = [(int(k), se.Gen(int(bucket.gen_ids[b, k]))) for k in np.flatnonzero(bucket.lc_gen[b])]
+        for k, s in zip(*np.nonzero(bucket.lc_copy[b])):
+            i, jm1 = int(bucket.copy_i[b, k, s]), int(bucket.copy_jm1[b, k, s])
+            path.append((int(k), se.Copy(i, jm1 + 1)))
+        assert sorted(path, key=lambda step: step[0]) == longest_copy_reference(x, y, vocab, cap)
 
 
 def test_grad_check_on_marginal(rng):
