@@ -7,10 +7,9 @@ and overflow-safe log-space reductions that treat IEEE -inf as "masked out"
 (zero gradient flows through masked entries).
 
 The GRU step kernel `gru_cell` works on arrays with the three gates stacked
-in z, r, n order, so a step is two matmuls.  Parameters stay per gate (nine
-tensors per GRU, as the model and its checkpoints name them); `stack_gates`
-concatenates them for the kernel, and `gru_sequence`'s backward computes the
-weight gradients once per sequence and splits them back per gate.
+in z, r, n order, so a step is two matmuls.  A GRU's weights are three
+tensors in that layout (w [3h, in], u [3h, h], b [3h]), which `gru_sequence`
+takes as they are; its backward computes their gradients once per sequence.
 
 Graphs are built implicitly: each tensor records its parents and a backward
 closure.  Creation order is a valid topological order because an op's output
@@ -467,22 +466,26 @@ def cumlogsumexp(t: Tensor) -> Tensor:
     out[..., j] = log sum_{i <= j} exp(t[..., i]).  This is what makes the
     span normalizer linear per step: scores factor as start[i] + end[j], so
     summing exp over all pairs i <= j is an inner product of exp(end) with
-    the running prefix sums of exp(start), all kept in log space.
+    the running prefix sums of exp(start), all kept in log space.  The
+    backward is linear too: one reverse recurrence over the last axis.
     """
     t = as_tensor(t)
     out = np.logaddexp.accumulate(t.data, axis=-1)
 
     def back(g):
-        # d out_s / d t_i = exp(t_i - out_s) for i <= s; both exponents
-        # below are <= 0 so this is overflow-safe.
-        x = t.data[..., :, None]
-        y = out[..., None, :]
-        n = t.data.shape[-1]
-        tri = np.triu(np.ones((n, n), dtype=bool))
+        # grad_i = sum_{s >= i} g_s exp(t_i - out_s) = exp(t_i - out_i) R_i,
+        # where R_i = g_i + exp(out_i - out_{i+1}) R_{i+1}: one reverse sweep.
+        # out never decreases, so every exponent is <= 0.  Where t_i is -inf
+        # (and so where out_i is) the weight is zero rather than exp(nan).
         with np.errstate(invalid="ignore"):
-            w = np.exp(np.minimum(x - y, 0.0))
-        w = np.where(tri & np.isfinite(x - y), w, 0.0)
-        _acc(t, np.einsum("...is,...s->...i", w, g))
+            decay = np.exp(out[..., :-1] - out[..., 1:])
+            w = np.exp(t.data - out)
+        decay = np.where(np.isneginf(out[..., :-1]), 0.0, decay)
+        w = np.where(np.isneginf(t.data), 0.0, w)
+        r = g.copy()
+        for i in range(r.shape[-1] - 2, -1, -1):
+            r[..., i] += decay[..., i] * r[..., i + 1]
+        _acc(t, w * r)
 
     return _make(out, (t,), back)
 
@@ -491,17 +494,9 @@ def cumlogsumexp(t: Tensor) -> Tensor:
 # GRU
 
 
-def stack_gates(w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n):
-    """The nine per-gate GRU weight Tensors as the stacked arrays `gru_cell`
-    takes: w [3h, in], u [3h, h], b [3h], gates in z, r, n order."""
-    d = [p.data for p in (w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n)]
-    return np.concatenate(d[0:3]), np.concatenate(d[3:6]), np.concatenate(d[6:9])
-
-
 def gru_cell(x, h, w, u, b):
     """One GRU step on arrays: a [B, in] input and a [B, hid] state, with the
-    gates stacked in z, r, n order (w [3h, in], u [3h, h], b [3h], as built
-    by `stack_gates`).
+    gates stacked in z, r, n order (w [3h, in], u [3h, h], b [3h]).
 
     z = sigmoid(x Wz^T + h Uz^T + bz)
     r = sigmoid(x Wr^T + h Ur^T + br)
@@ -522,36 +517,21 @@ def gru_cell(x, h, w, u, b):
     return (1.0 - z) * n + z * h, z, r, n, hu_n
 
 
-def gru_sequence(
-    x: Tensor,
-    h0: Tensor,
-    w_z: Tensor,
-    w_r: Tensor,
-    w_n: Tensor,
-    u_z: Tensor,
-    u_r: Tensor,
-    u_n: Tensor,
-    b_z: Tensor,
-    b_r: Tensor,
-    b_n: Tensor,
-    reverse: bool = False,
-) -> Tensor:
-    """A GRU run over time: x [B, T, in] from state h0 [B, hid] -> [B, T, hid].
+def gru_sequence(x: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """A GRU run over time: x [B, T, in] from state h0 [B, hid] -> [B, T, hid],
+    with the stacked gate weights w [3h, in], u [3h, h] and b [3h] of
+    `gru_cell`.
 
     Slot t holds the state after consuming x[:, t]; with reverse=True the
     steps run from t = T-1 down to 0, so slot t has consumed x[:, t:].  The
-    whole loop is one graph node.  The forward stacks the nine per-gate
-    weights once (`stack_gates`) and steps `gru_cell`, projecting each
-    step's input inside the kernel as decoding does.  The backward (BPTT)
-    runs one `[B, 3h] @ [3h, h]` matmul per step and keeps the stacked gate
-    gradients; the input and weight gradients are then three matmuls and a
-    sum over the whole sequence, split back into the per-gate parameters.
-    It is checked against a composition of per-step primitive ops and
-    against finite differences.
+    whole loop is one graph node.  The forward steps `gru_cell`, projecting
+    each step's input inside the kernel as decoding does.  The backward
+    (BPTT) runs one `[B, 3h] @ [3h, h]` matmul per step and keeps the stacked
+    gate gradients; the input and weight gradients are then three matmuls and
+    a sum over the whole sequence.  It is checked against a composition of
+    per-step primitive ops and against finite differences.
     """
-    weights = (w_z, w_r, w_n, u_z, u_r, u_n, b_z, b_r, b_n)
-    w, u, b = stack_gates(*weights)
-    xs = x.data
+    xs, wd, ud, bd = x.data, w.data, u.data, b.data
     bsz, steps_n = xs.shape[:2]
     hid = h0.data.shape[1]
     steps = range(steps_n - 1, -1, -1) if reverse else range(steps_n)
@@ -561,7 +541,7 @@ def gru_sequence(
     h = h0.data
     for t in steps:
         prev[:, t] = h
-        h, z, r, n, hu = gru_cell(xs[:, t], h, w, u, b)
+        h, z, r, n, hu = gru_cell(xs[:, t], h, wd, ud, bd)
         saved[t] = (z, r, n, hu.copy())  # the copy frees the rest of h u^T
         out[:, t] = h
 
@@ -578,22 +558,17 @@ def gru_sequence(
             gates[:, t, :hid], gates[:, t, hid : 2 * hid], gates[:, t, 2 * hid :] = gz, gr, gn
             gu = gates[:, t].copy()
             gu[:, 2 * hid :] *= r  # h reaches n through r * (h Un^T)
-            gh = gt * z + gu @ u
+            gh = gt * z + gu @ ud
         flat = gates.reshape(-1, 3 * hid)
-        _acc(x, (flat @ w).reshape(xs.shape))
+        _acc(x, (flat @ wd).reshape(xs.shape))
         _acc(h0, gh)
-        gw = flat.T @ xs.reshape(-1, xs.shape[2])
-        gb = flat.sum(axis=0)
+        _acc(w, flat.T @ xs.reshape(-1, xs.shape[2]))
+        _acc(b, flat.sum(axis=0))
         for t, (_, r, _, _) in enumerate(saved):  # now the gradient of h Un^T
             gates[:, t, 2 * hid :] *= r
-        gu = flat.T @ prev.reshape(-1, hid)
-        for i, (pw, pu, pb) in enumerate(zip(weights[0:3], weights[3:6], weights[6:9])):
-            rows = slice(i * hid, (i + 1) * hid)
-            _acc(pw, gw[rows])
-            _acc(pu, gu[rows])
-            _acc(pb, gb[rows])
+        _acc(u, flat.T @ prev.reshape(-1, hid))
 
-    return _make(out, (x, h0, *weights), back)
+    return _make(out, (x, h0, w, u, b), back)
 
 
 # ---------------------------------------------------------------------------

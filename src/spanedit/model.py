@@ -15,7 +15,9 @@ whichever action path produced it.  The decoder works on rows: a state is a
 [R, d] array, advanced by one token per row in one GRU step.  Decoding and
 training step the same kernel (`ad.gru_cell`) on the same stacked gate
 weights, so one row stepped alone from `initial_state` equals the
-teacher-forced state of `forced_states` bitwise.
+teacher-forced state of `forced_states` bitwise.  Each GRU's weights are
+stored as that kernel takes them, three parameters with the gates stacked;
+only checkpoint files split them per gate.
 A row stepped inside a larger batch may differ from the same row stepped
 alone in the last bits, since BLAS picks its kernel by shape, so beam-search
 merging does not lean on bitwise equality: a merged ray keeps the state of
@@ -114,32 +116,36 @@ class EncoderOutputs:
     summary: Tensor  # [dec_hidden] or [B, dec_hidden]
 
 
-_GATES = ("z", "r", "n")
-_GRU_WEIGHTS = tuple(f"{kind}_{gate}" for kind in ("W", "U", "b") for gate in _GATES)
+def _gru_shapes(prefix: str, indim: int, hid: int) -> dict[str, tuple[int, ...]]:
+    """One GRU's weights, gates stacked z, r, n as `ad.gru_cell` takes them."""
+    return {prefix + "W": (3 * hid, indim), prefix + "U": (3 * hid, hid), prefix + "b": (3 * hid,)}
+
+
+def _per_gate_names(cfg: ModelConfig) -> dict[str, list[str]]:
+    """Stacked GRU weight -> the checkpoint names of its z, r, n row blocks.
+
+    Checkpoint files (format version 1) name each gate apart: `dec.W` is
+    saved as `dec.W_z`, `dec.W_r` and `dec.W_n`.  Only `SpanCopyModel.save`
+    and `load` use this table.
+    """
+    prefixes = [f"enc.l{layer}.{d}." for layer in range(cfg.enc_layers) for d in ("fwd", "bwd")]
+    return {p + kind: [f"{p}{kind}_{g}" for g in "zrn"] for p in prefixes + ["dec."] for kind in "WUb"}
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter table; iteration order is the init draw order."""
+    """Canonical parameter table; iteration order is the init draw order.
+
+    A stacked GRU weight draws the same numbers as its three gates drawn one
+    after another, since the rows of [3h, in] are the gates in order.
+    """
     v, e, h, d, c = cfg.vocab_size, cfg.embed_dim, cfg.enc_hidden, cfg.dec_hidden, cfg.ctx_dim
     shapes: dict[str, tuple[int, ...]] = {"embed.E": (v, e)}
     for layer in range(cfg.enc_layers):
-        indim = e if layer == 0 else c
         for direction in ("fwd", "bwd"):
-            p = f"enc.l{layer}.{direction}."
-            for gate in _GATES:
-                shapes[p + f"W_{gate}"] = (h, indim)
-            for gate in _GATES:
-                shapes[p + f"U_{gate}"] = (h, h)
-            for gate in _GATES:
-                shapes[p + f"b_{gate}"] = (h,)
+            shapes.update(_gru_shapes(f"enc.l{layer}.{direction}.", e if layer == 0 else c, h))
     shapes["enc.bridge.W"] = (d, c)
     shapes["enc.bridge.b"] = (d,)
-    for gate in _GATES:
-        shapes[f"dec.W_{gate}"] = (d, e)
-    for gate in _GATES:
-        shapes[f"dec.U_{gate}"] = (d, d)
-    for gate in _GATES:
-        shapes[f"dec.b_{gate}"] = (d,)
+    shapes.update(_gru_shapes("dec.", e, d))
     shapes["attn.W_a"] = (d, c)
     shapes["attn.W_c"] = (d, d + c)
     shapes["attn.b_c"] = (d,)
@@ -197,10 +203,8 @@ class SpanCopyModel:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _gru(self, prefix: str) -> tuple[Tensor, ...]:
-        """The nine per-gate GRU weights under `prefix`, in `ad.gru_sequence`
-        order (W, U, b; gates z, r, n)."""
-        return tuple(self.params[prefix + name] for name in _GRU_WEIGHTS)
+    def _gru(self, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
+        return self.params[prefix + "W"], self.params[prefix + "U"], self.params[prefix + "b"]
 
     # -- encoder
 
@@ -261,7 +265,7 @@ class SpanCopyModel:
         no gradient.  Training steps the decoder through `forced_states`.
         """
         emb = self._p("embed.E").data[np.asarray(token_ids, dtype=np.int64)]
-        h, *_ = ad.gru_cell(emb, hidden.data, *ad.stack_gates(*self._gru("dec.")))
+        h, *_ = ad.gru_cell(emb, hidden.data, *(p.data for p in self._gru("dec.")))
         return Tensor(h)
 
     def forced_states(self, summary: Tensor, dec_in: np.ndarray) -> Tensor:
@@ -369,7 +373,12 @@ class SpanCopyModel:
         extra = {"config": asdict(self.config)}
         if header_extra:
             extra.update(header_extra)
-        ad.save_checkpoint(path, self.params, header_extra=extra)
+        per_gate = _per_gate_names(self.config)
+        arrays: dict[str, np.ndarray] = {}
+        for name, p in self.params.items():
+            keys = per_gate.get(name, [name])
+            arrays.update(zip(keys, np.split(p.data, len(keys))))
+        ad.save_checkpoint(path, arrays, header_extra=extra)
 
     @classmethod
     def load(cls, path) -> "SpanCopyModel":
@@ -377,5 +386,18 @@ class SpanCopyModel:
         if "config" not in header:
             raise ModelError(f"{path}: checkpoint header lacks a model config")
         cfg = ModelConfig(**header["config"])
-        params = {k: Tensor(v.astype(cfg.dtype), requires_grad=True) for k, v in arrays.items()}
+        per_gate = _per_gate_names(cfg)
+        params: dict[str, Tensor] = {}
+        for name, shape in parameter_shapes(cfg).items():
+            keys = per_gate.get(name, [name])
+            part = (shape[0] // len(keys), *shape[1:])
+            for key in keys:
+                if key not in arrays:
+                    raise ModelError(f"{path}: checkpoint lacks parameter {key!r}")
+                if arrays[key].shape != part:
+                    raise ModelError(f"{path}: parameter {key!r} has shape {arrays[key].shape}, expected {part}")
+            stacked = np.concatenate([arrays.pop(key) for key in keys], dtype=cfg.dtype)
+            params[name] = Tensor(stacked, requires_grad=True)
+        if arrays:
+            raise ModelError(f"{path}: unexpected parameters {sorted(arrays)}")
         return cls(cfg, params)

@@ -6,6 +6,7 @@ criteria read from it, so the full suite stays inside a coffee break.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,4 +332,50 @@ def test_criterion_10_quadratic_scaling(capsys):
         f"t = a + b*N^2 fit over N in {sizes}: minima of 9 interleaved rounds "
         f"{['%.1fms' % (1e3 * t) for t in best]}, max residual {100 * resid.max():.1f}% "
         f"(cap 25%)",
+    )
+
+
+def test_criterion_11_quadratic_memory(capsys):
+    # Criterion 10's pairs and model, measured by peak allocation instead of
+    # time: allocation is fixed by the code, so no machine load moves it.
+    surfaces = alphabet_surfaces(TaskKind.DELETE, 12)
+    vocab = se.Vocab(list(RESERVED_SURFACES) + surfaces)
+    rng = np.random.default_rng(42)
+
+    def pair(N):
+        xs = [surfaces[i] for i in rng.integers(0, 12, size=N)]
+        ys = list(xs)
+        ys[N // 2] = surfaces[(surfaces.index(xs[N // 2]) + 1) % 12]
+        return tuple(xs), tuple(ys)
+
+    cfg = se.ModelConfig(
+        vocab_size=vocab.size, embed_dim=16, enc_hidden=16, enc_layers=2,
+        dec_hidden=32, dropout=0.0, init_seed=0,
+    )
+    model = se.SpanCopyModel(cfg)
+    sizes = (32, 64, 128, 256)
+    fwd, bwd = [], []  # peak bytes above what was live before each phase
+    tracemalloc.start()
+    try:
+        for N in sizes:
+            x, y = pair(N)
+            ad.zero_grad(model.params.values())
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ll = se.marginal_log_likelihood(model, vocab, x, y)
+            live, peak = tracemalloc.get_traced_memory()
+            fwd.append(peak - before)
+            tracemalloc.reset_peak()
+            se.backward(ll)
+            bwd.append(tracemalloc.get_traced_memory()[1] - live)
+            del ll
+    finally:
+        tracemalloc.stop()
+    fwd_exp, bwd_exp = (float(np.polyfit(np.log(sizes), np.log(peaks), 1)[0]) for peaks in (fwd, bwd))
+    verdict(
+        capsys,
+        11, fwd_exp <= 2.0 and bwd_exp <= 2.0,
+        f"log-log slope of peak memory over N in {sizes}: forward {fwd_exp:.2f} "
+        f"({['%.1fMB' % (b / 2**20) for b in fwd]}), backward {bwd_exp:.2f} "
+        f"({['%.1fMB' % (b / 2**20) for b in bwd]}) (cap 2.0 each)",
     )

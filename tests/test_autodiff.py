@@ -100,6 +100,32 @@ def test_cumlogsumexp_gradient(rng):
     assert ad.grad_check(f, params, eps=1e-6) < 1e-6
 
 
+def cumlogsumexp_grad_reference(x, g):
+    """The direct formula, d out_s / d t_i = exp(t_i - out_s) for i <= s, as
+    one [..., n, n] weight tensor."""
+    out = np.logaddexp.accumulate(x, axis=-1)
+    tri = np.triu(np.ones((x.shape[-1],) * 2, dtype=bool))
+    with np.errstate(invalid="ignore"):
+        diff = x[..., :, None] - out[..., None, :]
+        w = np.where(tri & np.isfinite(diff), np.exp(np.minimum(diff, 0.0)), 0.0)
+    return np.einsum("...is,...s->...i", w, g)
+
+
+def test_cumlogsumexp_backward_matches_direct_formula(rng):
+    x = 3.0 * rng.normal(size=(4, 3, 10))
+    x[0, :, :3] = -np.inf  # leading masked entries
+    x[1, 2, :] = -np.inf  # a fully masked row
+    x[2, 1, [4, 7]] = -np.inf
+    g = rng.normal(size=x.shape)
+    xt = t(x)
+    # upstream gradient g everywhere, -inf outputs included
+    ad.cumlogsumexp(xt)._backward(g)
+    got = xt.grad_array()
+    assert np.isfinite(got).all()
+    assert not got[1, 2].any() and not got[0, :, :3].any()
+    assert np.allclose(got, cumlogsumexp_grad_reference(x, g), rtol=0, atol=1e-12)
+
+
 def test_linear_gradcheck(rng):
     params = {
         "x": t(rng.normal(size=(3, 4))),
@@ -127,26 +153,27 @@ def gru_params(rng, B, T, E, H, dtype=np.float64):
     def draw(*shape):
         return ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
 
-    params = {"x": draw(B, T, E), "h0": draw(B, H)}
-    for kind, shape in (("W", (H, E)), ("U", (H, H)), ("b", (H,))):
-        for g in ("z", "r", "n"):
-            params[f"{kind}_{g}"] = draw(*shape)
-    return params
+    # gates stacked z, r, n, as gru_sequence takes them
+    return {"x": draw(B, T, E), "h0": draw(B, H), "W": draw(3 * H, E), "U": draw(3 * H, H), "b": draw(3 * H)}
 
 
 def run_gru_sequence(p, reverse):
-    weights = [p[f"{kind}_{g}"] for kind in "WUb" for g in "zrn"]
-    return ad.gru_sequence(p["x"], p["h0"], *weights, reverse=reverse)
+    return ad.gru_sequence(p["x"], p["h0"], p["W"], p["U"], p["b"], reverse=reverse)
 
 
 def composed_gru_sequence(p, reverse):
-    """The same recurrence as one tape node per primitive op per step."""
+    """The same recurrence as one tape node per primitive op per step, on
+    each gate's rows of the stacked weights taken apart with `narrow`."""
     B, T, E = p["x"].shape
+    H = p["h0"].shape[1]
+    gate = {
+        (kind, g): ad.narrow(p[kind], 0, i * H, H) for kind in "WUb" for i, g in enumerate("zrn")
+    }
 
     def lin(x, h, g):
         return ad.add(
-            ad.add(ad.matmul(x, p[f"W_{g}"], transpose_b=True), ad.matmul(h, p[f"U_{g}"], transpose_b=True)),
-            p[f"b_{g}"],
+            ad.add(ad.matmul(x, gate["W", g], transpose_b=True), ad.matmul(h, gate["U", g], transpose_b=True)),
+            gate["b", g],
         )
 
     h = p["h0"]
@@ -157,8 +184,8 @@ def composed_gru_sequence(p, reverse):
         r = sigmoid(lin(x, h, "r"))
         n = ad.tanh(
             ad.add(
-                ad.add(ad.matmul(x, p["W_n"], transpose_b=True), ad.mul(r, ad.matmul(h, p["U_n"], transpose_b=True))),
-                p["b_n"],
+                ad.add(ad.matmul(x, gate["W", "n"], transpose_b=True), ad.mul(r, ad.matmul(h, gate["U", "n"], transpose_b=True))),
+                gate["b", "n"],
             )
         )
         h = ad.add(ad.mul(ad.sub(1.0, z), n), ad.mul(z, h))

@@ -153,6 +153,17 @@ def test_decode_rejects_reserved_input(trained_artifacts):
         assert out == ""
 
 
+def test_decode_rejects_checkpoint_missing_a_gate(trained_artifacts, tmp_path):
+    model, vocab, _ = trained_artifacts
+    doc = json.loads(model.read_text())
+    del doc["params"]["enc.l1.bwd.W_n"]
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(doc))
+    code, out = run_cli("decode", "--model", str(broken), "--vocab", str(vocab), "--input", "a b")
+    assert code == 3
+    assert out == ""
+
+
 def test_eval_report(trained_artifacts, corpus_dir, tmp_path):
     model, vocab, _ = trained_artifacts
     out = tmp_path / "report.json"

@@ -1,5 +1,8 @@
 """Encoder, decoder state, attention and the joint action distribution."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,7 +64,7 @@ def test_parameter_shapes_and_init():
     for name, shape in shapes.items():
         assert model.params[name].data.shape == shape, name
     # biases start at zero, weights do not
-    assert not model.params["dec.b_z"].data.any()
+    assert not model.params["dec.b"].data.any()
     assert model.params["embed.E"].data.any()
 
 
@@ -246,6 +249,27 @@ def test_save_load_roundtrip(tmp_path, rng):
     b = scores_for(loaded, vocab, x, consumed=vocab.ids(x[:2]))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
+
+
+def test_checkpoint_file_layout_unchanged(tmp_path):
+    # checkpoints name each GRU gate apart although the model stacks them:
+    # loading the frozen benchmark checkpoint and saving it rewrites it exactly
+    frozen = Path(__file__).resolve().parents[1] / "benchmarks" / "artifacts" / "decode_model.json"
+    out = tmp_path / "m.json"
+    se.SpanCopyModel.load(frozen).save(out)
+    assert out.read_bytes() == frozen.read_bytes()
+
+
+def test_load_names_missing_gate(tmp_path):
+    vocab, _ = tiny_vocab()
+    path = tmp_path / "m.json"
+    tiny_model(vocab).save(path)
+    doc = json.loads(path.read_text())
+    assert {"dec.U_z", "dec.U_r", "dec.U_n"} <= set(doc["params"])
+    del doc["params"]["dec.U_r"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(se.ModelError, match=r"'dec\.U_r'"):
+        se.SpanCopyModel.load(path)
 
 
 def test_load_rejects_wrong_param_set(tmp_path):
