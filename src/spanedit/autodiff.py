@@ -353,19 +353,6 @@ def masked_fill(t: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return _make(out, (t,), back)
 
 
-def where(mask: np.ndarray, a, b) -> Tensor:
-    """Elementwise select; gradient routes only to the selected branch."""
-    a, b = as_tensor(a), as_tensor(b)
-    mask = np.asarray(mask, dtype=bool)
-    out = np.where(mask, a.data, b.data)
-
-    def back(g):
-        _acc(a, _unbroadcast(np.where(mask, g, 0.0), a.data.shape))
-        _acc(b, _unbroadcast(np.where(mask, 0.0, g), b.data.shape))
-
-    return _make(out, (a, b), back)
-
-
 # ---------------------------------------------------------------------------
 # Gathers
 

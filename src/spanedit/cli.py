@@ -40,7 +40,7 @@ from .corpus import (
     write_corpus,
 )
 from .metrics import evaluate, span_length_stats, write_histogram_csv
-from .model import ModelConfig, ModelError, SpanCopyModel
+from .model import Gen, ModelConfig, ModelError, SpanCopyModel
 from .objective import OBJECTIVES, DivergenceError, TrainConfig, train
 from .search import decode, greedy_decode
 
@@ -240,14 +240,15 @@ def config_hash(options: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_meta(out_path: str, command: str, options: dict) -> None:
+def _write_meta(path, command: str, options: dict, **extra) -> None:
     meta = {
         "format_version": META_FORMAT_VERSION,
         "command": command,
         "config_hash": config_hash(options),
         "options": {k: v for k, v in sorted(options.items())},
+        **extra,
     }
-    with atomic_write(str(out_path) + ".meta.json") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -302,15 +303,10 @@ def _cmd_gen_data(opt: dict) -> int:
     splits = _split_by_index(examples)
     for name, exs in splits.items():
         write_corpus(out_dir / f"{name}.jsonl", exs)
-    meta = {
-        "format_version": META_FORMAT_VERSION,
-        "command": "gen-data",
-        "config_hash": config_hash(opt),
-        "options": {k: v for k, v in sorted(opt.items())},
-        "split_sizes": {name: len(exs) for name, exs in splits.items()},
-    }
-    with atomic_write(out_dir / "meta.json") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_meta(
+        out_dir / "meta.json", "gen-data", opt,
+        split_sizes={name: len(exs) for name, exs in splits.items()},
+    )
     logger.info(
         "wrote %d %s examples to %s (train/valid/test %d/%d/%d)",
         len(examples), opt["task"], out_dir,
@@ -363,14 +359,14 @@ def _cmd_train(opt: dict) -> int:
     model.save(opt["out"], header_extra={"config_hash": config_hash(opt)})
     vocab_out = opt["vocab_out"] or (str(opt["out"]) + ".vocab")
     save_vocab(vocab_out, vocab)
-    _write_meta(opt["out"], "train", opt)
+    _write_meta(str(opt["out"]) + ".meta.json", "train", opt)
     return EXIT_OK
 
 
 def _trace_json(actions, vocab) -> list[dict]:
     out = []
     for a in actions:
-        if hasattr(a, "token_id"):
+        if isinstance(a, Gen):
             out.append({"op": "gen", "token": vocab.surface(a.token_id)})
         else:
             out.append({"op": "copy", "start": a.start, "end": a.end})
@@ -420,7 +416,7 @@ def _cmd_decode(opt: dict) -> int:
         with atomic_write(opt["out"]) as fh:
             for row in rows:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-        _write_meta(opt["out"], "decode", opt)
+        _write_meta(str(opt["out"]) + ".meta.json", "decode", opt)
     logger.info("decoded %d inputs", len(rows))
     return EXIT_OK
 
@@ -439,7 +435,7 @@ def _cmd_eval(opt: dict) -> int:
         sys.stdout.write(report.to_json() + "\n")
     else:
         report.save(opt["out"])
-        _write_meta(opt["out"], "eval", opt)
+        _write_meta(str(opt["out"]) + ".meta.json", "eval", opt)
     logger.info(
         "evaluated %d examples: exact match %.3f",
         report.n_examples, report.metrics["exact_match"],
@@ -457,7 +453,7 @@ def _cmd_stats(opt: dict) -> int:
     ]
     stats = span_length_stats(traces)
     write_histogram_csv(opt["out"], stats)
-    _write_meta(opt["out"], "stats", opt)
+    _write_meta(str(opt["out"]) + ".meta.json", "stats", opt)
     summary = {
         "n_examples": len(examples),
         "total_copies": stats.total_copies,

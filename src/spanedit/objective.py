@@ -336,8 +336,8 @@ def _multi_hot(gen_lq: Tensor, copy_lq: Tensor) -> Tensor:
 
 
 def _longest_copy(gen_lq: Tensor, copy_lq: Tensor, bucket: Bucket) -> Tensor:
-    gen_part = ad.where(bucket.lc_gen, gen_lq, Tensor(np.zeros_like(gen_lq.data)))
-    copy_part = ad.where(bucket.lc_copy, copy_lq, Tensor(np.zeros_like(copy_lq.data)))
+    gen_part = ad.masked_fill(gen_lq, ~bucket.lc_gen, 0.0)
+    copy_part = ad.masked_fill(copy_lq, ~bucket.lc_copy, 0.0)
     return ad.add(
         ad.reduce_sum(gen_part, axis=1), ad.reduce_sum(copy_part, axis=(1, 2))
     )

@@ -16,28 +16,35 @@ unfinished rays holding exactly L tokens, while longer rays wait, then merges
 equal-token rays and prunes the whole pool back to the beam width.  The
 merge-at-end variant is the classic action-synchronous beam (one action per
 ray per round, no waiting, no merging) that only groups equal candidates
-after search; it exists as a baseline and is measurably worse.
+after search; it exists as a baseline and is measurably worse.  Greedy
+decoding is the merge-at-end beam at width 1, and its trace is the kept
+ray's action path.  All three share one length budget: an unfinished ray of
+at most max_len tokens takes one more action.
 
-Both beams run on one array core.  Every action has a flat index: Gen(t) is
+All three run on one array core.  Every action has a flat index: Gen(t) is
 t and Copy(i, j) is V + i*n + j - 1, which is also the order actions are
 enumerated and path tie-breaks compare in.  Per input, a table gives every
 action's length, feed ids and Karp-Rabin hash; span hashes come from prefix
 hashes of the input, over an id space in which each distinct
-out-of-vocabulary input surface has an id of its own.  Survivor rays are
+out-of-vocabulary input surface has an id of its own.  The facts that do not
+depend on the input's tokens are cached per input length.  Survivor rays are
 arrays (log-prob, hash, length, finished flag, decoder state) plus the token
-tuples of at most beam-width rays.  A round scores the active rays in one
-call, keys every pool entry, waiting rays included, by (hash, length,
-finished), sums each group's mass with one reduceat, and prunes with a
-partial sort.  Token tuples are built only for the members of multi-member
-groups, which are checked exactly against their group's first member, and for
-the groups at or above the k-th score, which get the exact (-score, tokens)
-tie-break.  A hash collision always makes a multi-member group that fails the
-check; that round is then regrouped by exact token tuples.  Survivors are
-settled with one batched decoder step per pending token depth.
+tuples (and, without merging, the action paths) of at most beam-width rays.
+A round scores the active rays in one call and pools their successors with
+the waiting rays.  A merging round keys every pool entry by (hash, length,
+finished) and sums each group's mass with one reduceat; every round prunes
+with a partial sort.  Token tuples are built only for the members of
+multi-member groups, which are checked exactly against their group's first
+member, and for the groups at or above the k-th score, which get the exact
+(-score, tokens) tie-break.  A hash collision always makes a multi-member
+group that fails the check; that round is then regrouped by exact token
+tuples.  Survivors are settled with one batched decoder step per pending
+token depth.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +53,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import EOS, EOS_ID, UNK_ID, Vocab, validate_tokens
-from .model import Action, Copy, Gen, SpanCopyModel, action_surfaces
+from .model import Action, Copy, Gen, SpanCopyModel
 
 # Multiplier of the rolling token hash (mod 2^64).  Any value is correct,
 # since every merge is verified exactly; a poor one only costs fallbacks.
@@ -55,6 +62,11 @@ _MASK64 = (1 << 64) - 1
 
 
 def default_max_len(n: int) -> int:
+    """The output length budget for an n-token input when none is given.
+
+    An unfinished output of at most this many tokens takes one more action,
+    so an output of exactly this length can still finish, and a final copy
+    can overshoot the budget by its tail."""
     return 2 * n + 16
 
 
@@ -108,92 +120,82 @@ def greedy_decode(
 ) -> GreedyResult:
     """Follow the argmax action until EOS or the length budget.
 
-    A copy appends its whole span, so the result can overshoot max_len by the
-    tail of one final copy; decoding stops right after.
+    This is the width-1 run of the merge-at-end beam, so it keeps the beams'
+    rules.  Budget: an unfinished output of at most max_len tokens takes one
+    more action, so an output of exactly max_len tokens can still finish, and
+    a final copy can overshoot max_len by its tail.  Ties: actions of exactly
+    equal score break toward the smaller resulting token tuple (a finished
+    output's tuple ending in EOS), then toward the smaller flat action index.
     """
-    _check_input(x)
-    n = len(x)
-    if max_len is None:
-        max_len = default_max_len(n)
-    v = model.config.vocab_size
-    with ad.no_grad():
-        enc = model.encode(vocab.ids(x))
-        hidden = model.initial_state(enc)
-        tokens: list[str] = []
-        actions: list[Action] = []
-        log_prob = 0.0
-        finished = False
-        while True:
-            lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
-            flat = np.concatenate([lqv.data[0], lqs.data[0].ravel()])
-            idx = int(np.argmax(flat))
-            log_prob += float(flat[idx])
-            if idx < v:
-                action: Action = Gen(idx)
-            else:
-                i, jm1 = divmod(idx - v, n)
-                action = Copy(i, jm1 + 1)
-            if isinstance(action, Gen) and action.token_id == EOS_ID:
-                finished = True
-                break
-            surfaces = action_surfaces(action, x, vocab)
-            tokens.extend(surfaces)
-            actions.append(action)
-            for tid in vocab.ids(surfaces):
-                hidden = model.decoder_advance(hidden, [tid])
-            if len(tokens) >= max_len:
-                break
-    return GreedyResult(tuple(tokens), log_prob, finished, tuple(actions))
+    rays, _ = _beam_search(model, vocab, x, 1, max_len, merge=False)
+    v, n = model.config.vocab_size, len(x)
+    actions: list[Action] = []
+    for a in rays.paths[0]:
+        if a >= v:
+            i, jm1 = divmod(a - v, n)
+            actions.append(Copy(i, jm1 + 1))
+        elif a != EOS_ID:
+            actions.append(Gen(a))
+    return GreedyResult(
+        rays.tokens[0], float(rays.log_prob[0]), bool(rays.finished[0]), tuple(actions)
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_facts(v: int, n: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """length, power and feed_start of every flat action (see _ActionTable):
+    the facts that depend only on the vocab size and the input length.
+    Cached, so the arrays are read-only."""
+    last = np.arange(n)
+    span_length = np.maximum(last - last[:, None] + 1, 0)  # [start, last]
+    wait = np.zeros(1, dtype=np.int64)
+    length = np.concatenate([np.ones(v, dtype=np.int64), span_length.ravel(), wait])
+    length[EOS_ID] = 0
+    powers = [1]
+    for _ in range(n):
+        powers.append((powers[-1] * base) & _MASK64)
+    power = np.array(powers, dtype=np.uint64)[length]  # base ** length
+    feed_start = np.concatenate([n + np.arange(v), np.repeat(last, n), wait])
+    for a in (length, power, feed_start):
+        a.flags.writeable = False
+    return length, power, feed_start
 
 
 class _ActionTable:
-    """Per-input facts about every flat action index (see the module doc).
+    """Per-input facts about every flat action index (see the module doc),
+    plus a last entry, index -1, for a ray that waits: length 0, hash 0 and
+    power 1, so that waiting leaves a ray as it is.
 
-    Span cells below the diagonal keep length 0; they score -inf, as does
-    every span a capped model forbids, so no pool entry uses them.  Gen(EOS)
-    has length 0, hash 0 and no surfaces: finishing leaves a ray's tokens
-    (and so its hash) unchanged and only sets the finished flag."""
+    Gen(EOS) has length 0, hash 0 and no surfaces: finishing leaves a ray's
+    tokens (and so its hash) unchanged and only sets the finished flag.  Span
+    cells below the diagonal have length 0 and meaningless hashes; they
+    score -inf, as does every span a capped model forbids, so no pool entry
+    uses them.  Feed ids of action a are feed[feed_start[a] : feed_start[a] +
+    length[a]]; a copy's surfaces are the same slice of x."""
 
     def __init__(self, vocab: Vocab, x, x_ids: list[int], v: int):
         n = len(x)
-        self.x, self.v = tuple(x), v
-        fresh: dict[str, int] = {}
-        sids = [t if t != UNK_ID else fresh.setdefault(s, v + len(fresh)) for s, t in zip(x, x_ids)]
+        self.vocab, self.x, self.v, self.n = vocab, tuple(x), v, n
         base = _HASH_BASE & _MASK64
+        self.length, self.power, self.feed_start = _shape_facts(v, n, base)
+        fresh: dict[str, int] = {}
         prefix = [0]
-        for s in sids:
-            prefix.append((prefix[-1] * base + s) & _MASK64)
-        powers = np.array([pow(base, k, 1 << 64) for k in range(n + 1)], dtype=np.uint64)
+        for s, t in zip(x, x_ids):
+            sid = t if t != UNK_ID else fresh.setdefault(s, v + len(fresh))
+            prefix.append((prefix[-1] * base + sid) & _MASK64)
         prefix = np.array(prefix, dtype=np.uint64)
-
-        starts, last = np.triu_indices(n)
-        lengths = last - starts + 1
-        span = v + starts * n + last
-        size = v + n * n
-        self.length = np.zeros(size, dtype=np.int64)
-        self.length[:v] = 1
-        self.length[EOS_ID] = 0
-        self.length[span] = lengths
-        self.hash = np.zeros(size, dtype=np.uint64)
-        self.hash[:v] = np.arange(v, dtype=np.uint64)
+        span_hash = prefix[1:] - prefix[:-1, None] * self.power[v:-1].reshape(n, n)
+        self.hash = np.concatenate(
+            [np.arange(v, dtype=np.uint64), span_hash.ravel(), np.zeros(1, dtype=np.uint64)]
+        )
         self.hash[EOS_ID] = 0
-        self.hash[span] = prefix[last + 1] - prefix[starts] * powers[lengths]
-        self.power = powers[self.length]  # base ** length
-        # Feed ids of action a are feed[feed_start[a] : feed_start[a] + length[a]];
-        # a copy's surfaces are the same slice of x.
         self.feed = np.array(x_ids + list(range(v)), dtype=np.int64)
-        self.feed_start = np.zeros(size, dtype=np.int64)
-        self.feed_start[:v] = n + np.arange(v)
-        self.feed_start[span] = starts
-        self._start, self._length = self.feed_start.tolist(), self.length.tolist()
-        self._gen_surfaces = [(vocab.surface(t),) for t in range(v)]
-        self._gen_surfaces[EOS_ID] = ()
 
     def surfaces(self, a: int) -> tuple[str, ...]:
-        if a < self.v:
-            return self._gen_surfaces[a]
-        start = self._start[a]
-        return self.x[start : start + self._length[a]]
+        if a >= self.v:
+            start, last = divmod(a - self.v, self.n)
+            return self.x[start : last + 1]
+        return () if a == EOS_ID else (self.vocab.surface(a),)
 
 
 @dataclass
@@ -219,32 +221,32 @@ class _Pool:
     parent: np.ndarray
     action: np.ndarray
     log_prob: np.ndarray
-    hash: np.ndarray
-    length: np.ndarray
     finished: np.ndarray
 
 
-def _expand(model, enc, table: _ActionTable, rays: _Rays, grow: np.ndarray) -> _Pool:
-    """The pool of one round: rays not in the `grow` mask wait."""
-    active, waiting = np.flatnonzero(grow), np.flatnonzero(~grow)
-    if active.size:
-        ht = model.attend_states(Tensor(rays.hidden[active]), enc)
-        lqv, lqs = model.action_scores_many(ht, enc)
-        flat = np.concatenate([lqv.data, lqs.data.reshape(active.size, -1)], axis=1)
-        rows, acts = np.nonzero(np.isfinite(flat))
-        lq = flat[rows, acts]
-        parents = active[rows]
-    else:
-        acts = parents = np.zeros(0, dtype=np.int64)
-        lq = np.zeros(0)
+def _grown(table: _ActionTable, rays: _Rays, parent: np.ndarray, action: np.ndarray):
+    """Hash and length of each ray parent[p] extended by action[p]."""
+    return (
+        rays.hash[parent] * table.power[action] + table.hash[action],
+        rays.length[parent] + table.length[action],
+    )
+
+
+def _expand(model, enc, rays: _Rays, grow: np.ndarray) -> _Pool:
+    """The pool of one round: rays not in the `grow` mask (which holds at
+    least one ray) wait."""
+    active, waiting = grow.nonzero()[0], (~grow).nonzero()[0]
+    ht = model.attend_states(Tensor(rays.hidden[active]), enc)
+    lqv, lqs = model.action_scores_many(ht, enc)
+    flat = np.concatenate([lqv.data, lqs.data.reshape(active.size, -1)], axis=1)
+    rows, acts = np.isfinite(flat).nonzero()
+    parents = active[rows]
     return _Pool(
         parent=np.concatenate([waiting, parents]),
         action=np.concatenate([np.full(waiting.size, -1), acts]),
-        log_prob=np.concatenate([rays.log_prob[waiting], rays.log_prob[parents] + lq]),
-        hash=np.concatenate(
-            [rays.hash[waiting], rays.hash[parents] * table.power[acts] + table.hash[acts]]
+        log_prob=np.concatenate(
+            [rays.log_prob[waiting], rays.log_prob[parents] + flat[rows, acts]]
         ),
-        length=np.concatenate([rays.length[waiting], rays.length[parents] + table.length[acts]]),
         finished=np.concatenate([rays.finished[waiting], acts == EOS_ID]),
     )
 
@@ -254,18 +256,19 @@ def _expand(model, enc, table: _ActionTable, rays: _Rays, grow: np.ndarray) -> _
 _Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _hash_groups(pool: _Pool, tokens_of: Callable[[int], tuple[str, ...]]) -> _Groups | None:
-    """Groups of equal (hash, length, finished) keys; None if some group
-    holds two token sequences, i.e. the hash collided.  length and finished
-    are exact key columns, so only the tokens need checking.  (No pool holds
-    a finished and an unfinished ray of equal tokens, since finished rays
-    are shorter than the rest; the finished column keeps the key exact
-    without leaning on that.)"""
-    exact = pool.length * 2 + pool.finished
-    order = np.lexsort((exact, pool.hash))
-    h, e = pool.hash[order], exact[order]
+def _hash_groups(
+    hashes: np.ndarray, exact: np.ndarray, tokens_of: Callable[[int], tuple[str, ...]]
+) -> _Groups | None:
+    """Groups of equal (hash, exact) keys; None if some group holds two
+    token sequences, i.e. the hash collided.  exact packs length and the
+    finished flag, so only the tokens need checking.  (No pool holds a
+    finished and an unfinished ray of equal tokens, since finished rays are
+    shorter than the rest; the finished flag keeps the key exact without
+    leaning on that.)"""
+    order = np.lexsort((exact, hashes))
+    h, e = hashes[order], exact[order]
     starts, sizes = _runs((h[1:] != h[:-1]) | (e[1:] != e[:-1]))
-    multi = np.flatnonzero(sizes > 1)
+    multi = (sizes > 1).nonzero()[0]
     if multi.size:
         order_l = order.tolist()
         for s, z in zip(starts[multi].tolist(), sizes[multi].tolist()):
@@ -290,7 +293,7 @@ def _exact_groups(pool: _Pool, tokens_of: Callable[[int], tuple[str, ...]]) -> _
 def _runs(changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and size of each run of a sorted sequence; changed[i] says
     whether item i + 1 differs from item i."""
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    starts = np.concatenate(([True], changed)).nonzero()[0]
     return starts, np.diff(np.concatenate((starts, [changed.size + 1])))
 
 
@@ -330,36 +333,39 @@ def _next_rays(
     if merge_step is None:
         rep, score = np.arange(pool.parent.size), pool.log_prob
     else:
-        order, starts, sizes = _hash_groups(pool, tokens_of) or _exact_groups(pool, tokens_of)
+        hashes, lengths = _grown(table, rays, pool.parent, pool.action)
+        exact = lengths * 2 + pool.finished
+        order, starts, sizes = _hash_groups(hashes, exact, tokens_of) or _exact_groups(
+            pool, tokens_of
+        )
         rep = order[starts]
         score = np.logaddexp.reduceat(pool.log_prob[order], starts)
-        multi = np.flatnonzero(sizes > 1)
+        multi = (sizes > 1).nonzero()[0]
         for g in multi[np.argsort(rep[multi])].tolist():
             events.append(MergeEvent(merge_step, keyed_tokens(int(rep[g])), int(sizes[g])))
 
-    count = score.size
-    if count > beam_size:
-        kth = np.partition(score, count - beam_size)[count - beam_size]
-        cand = np.flatnonzero(score >= kth)
-    else:
-        cand = np.arange(count)
+    if score.size > beam_size:
+        cand = (score >= np.partition(score, -beam_size)[-beam_size]).nonzero()[0]
+        rep, score = rep[cand], score[cand]
     rep_l, score_l = rep.tolist(), score.tolist()
     with_path = merge_step is None
 
-    def key(g: int):
-        p = rep_l[g]
-        k = (-score_l[g], keyed_tokens(p))
+    def key(c: int):
+        p = rep_l[c]
+        k = (-score_l[c], keyed_tokens(p))
         return k + (path_of(p),) if with_path else k
 
-    keep = sorted(cand.tolist(), key=key)[:beam_size]
+    keep = sorted(range(len(rep_l)), key=key)[:beam_size]
     kept = rep[keep]
     kept_l = kept.tolist()
+    parent, action = pool.parent[kept], pool.action[kept]
+    hashes, lengths = _grown(table, rays, parent, action)
     return _Rays(
         log_prob=score[keep],
-        hash=pool.hash[kept],
-        length=pool.length[kept],
+        hash=hashes,
+        length=lengths,
         finished=pool.finished[kept],
-        hidden=_settle(model, table, rays.hidden[pool.parent[kept]], pool.action[kept]),
+        hidden=_settle(model, table, rays.hidden[parent], action),
         tokens=[tokens_of(p) for p in kept_l],
         paths=[path_of(p) for p in kept_l] if with_path else None,
     )
@@ -368,13 +374,11 @@ def _next_rays(
 def _settle(model: SpanCopyModel, table: _ActionTable, hidden: np.ndarray, action: np.ndarray):
     """Advance each parent state by its action's feed ids, one batched GRU
     step per token depth.  Waiting rays (action -1) and Gen(EOS) stay put."""
-    grown = np.flatnonzero(action >= 0)
-    depth = table.length[action[grown]]
-    start = table.feed_start[action[grown]]
+    depth = table.length[action]
+    start = table.feed_start[action]
     for d in range(int(depth.max(initial=0))):
-        sel = depth > d
-        rows = grown[sel]
-        ids = table.feed[start[sel] + d]
+        rows = (depth > d).nonzero()[0]
+        ids = table.feed[start[rows] + d]
         hidden[rows] = model.decoder_advance(Tensor(hidden[rows]), ids).data
     return hidden
 
@@ -386,7 +390,7 @@ def _beam_search(
     beam_size: int,
     max_len: int | None,
     merge: bool,
-) -> BeamResult:
+) -> tuple[_Rays, list[MergeEvent]]:
     _check_input(x)
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -421,12 +425,18 @@ def _beam_search(
                 grow = open_ & (rays.length <= max_len)
                 if not grow.any():
                     break
-            pool = _expand(model, enc, table, rays, grow)
+            pool = _expand(model, enc, rays, grow)
             rays = _next_rays(model, table, rays, pool, beam_size, step, events)
-        if not merge:
-            # Post-hoc grouping of the final rays; nothing is pruned.
-            pool = _expand(model, enc, table, rays, np.zeros(len(rays.tokens), dtype=bool))
-            rays = _next_rays(model, table, rays, pool, len(rays.tokens), -1, events)
+        count = len(rays.tokens)
+        if not merge and count > 1:
+            # Post-hoc grouping of the final rays, all waiting; nothing is
+            # pruned, and a single ray has nothing to merge with.
+            pool = _Pool(np.arange(count), np.full(count, -1), rays.log_prob, rays.finished)
+            rays = _next_rays(model, table, rays, pool, count, -1, events)
+    return rays, events
+
+
+def _beam_result(rays: _Rays, events: list[MergeEvent]) -> BeamResult:
     candidates = [
         DecodedCandidate(toks, lp, fin, rank)
         for rank, (toks, lp, fin) in enumerate(
@@ -451,7 +461,7 @@ def beam_decode(
     that pruning never discards anything, each finished candidate's score is
     the model's full marginal probability of that token sequence.
     """
-    return _beam_search(model, vocab, x, beam_size, max_len, merge=True)
+    return _beam_result(*_beam_search(model, vocab, x, beam_size, max_len, merge=True))
 
 
 def beam_decode_merge_at_end(
@@ -467,7 +477,7 @@ def beam_decode_merge_at_end(
     equal token sequences are only grouped after search ends (recorded as
     step -1 merge events).  Kept as the ablation baseline.  Ties in the
     prune break by tokens, then by action path in flat index order."""
-    return _beam_search(model, vocab, x, beam_size, max_len, merge=False)
+    return _beam_result(*_beam_search(model, vocab, x, beam_size, max_len, merge=False))
 
 
 def decode(

@@ -237,14 +237,14 @@ def test_gru_sequence_gradcheck(rng, reverse):
     assert ad.grad_check(f, params, eps=1e-5) < 1e-4
 
 
-def test_take_last_and_where_gradients(rng):
+def test_take_last_and_masked_fill_gradients(rng):
     params = {"x": t(rng.normal(size=(2, 3)))}
 
     def f():
         picked = ad.take_last(params["x"], np.array([[0, 2], [1, 1]]))
         mask = np.array([[True, False], [False, True]])
-        mixed = ad.where(mask, picked, ad.mul(picked, 2.0))
-        return ad.reduce_sum(mixed)
+        kept = ad.masked_fill(picked, ~mask, 0.0)
+        return ad.reduce_sum(ad.mul(kept, ad.add(picked, 2.0)))
 
     assert ad.grad_check(f, params, eps=1e-6) < 1e-8
 

@@ -39,16 +39,41 @@ def test_greedy_trace_covers_tokens(trained_insert):
 
 
 def test_greedy_log_prob_is_path_product(rng):
-    vocab, letters = tiny_vocab()
-    model = random_params_model(vocab, rng)
-    x = tuple(letters[:3])
-    res = se.greedy_decode(model, vocab, x, max_len=6)
-    from spanedit.oracle import sequence_log_prob, teacher_forced_distributions
+    # every greedy action is the argmax of the single-row teacher-forced
+    # distribution at its position, and the score is the path's product
+    from spanedit.oracle import action_log_prob, sequence_log_prob, teacher_forced_distributions
 
-    if res.finished:
+    vocab, letters = tiny_vocab()
+    finished = 0
+    for _ in range(6):
+        model = random_params_model(vocab, rng)
+        x = tuple(letters[:3])
+        res = se.greedy_decode(model, vocab, x, max_len=6)
         dists = teacher_forced_distributions(model, vocab, x, res.tokens)
-        path = tuple(res.actions) + (se.Gen(se.EOS_ID),)
-        assert res.log_prob == pytest.approx(sequence_log_prob(dists, path), abs=1e-9)
+        path = tuple(res.actions) + ((se.Gen(se.EOS_ID),) if res.finished else ())
+        k = 0
+        for a in path:
+            best = max(dists[k][0].max(), dists[k][1].max())
+            assert action_log_prob(dists[k], a) == pytest.approx(best, abs=1e-12)
+            k += se.action_len(a)
+        if res.finished:
+            finished += 1
+            assert res.log_prob == pytest.approx(sequence_log_prob(dists, path), abs=1e-9)
+    assert finished
+
+
+def test_greedy_finishes_at_exactly_the_budget(trained_insert):
+    # an unfinished output of at most max_len tokens takes one more action,
+    # so an output of exactly max_len tokens can still finish
+    model, vocab, splits, _ = trained_insert
+    for ex in splits["test"][:5]:
+        full = se.greedy_decode(model, vocab, ex.input)
+        budget = len(full.tokens)
+        assert full.finished and budget >= 1
+        exact = se.greedy_decode(model, vocab, ex.input, max_len=budget)
+        assert exact == full
+        short = se.greedy_decode(model, vocab, ex.input, max_len=budget - 1)
+        assert (short.tokens, short.actions, short.finished) == (full.tokens, full.actions, False)
 
 
 def test_full_width_beam_matches_oracle():
@@ -143,15 +168,6 @@ def test_merge_at_end_events_are_post_hoc():
     assert all(ev.step == -1 for ev in result.merge_events)
 
 
-def test_merge_at_end_width_one_is_greedy(trained_insert):
-    model, vocab, splits, _ = trained_insert
-    for ex in splits["test"][:8]:
-        greedy = se.greedy_decode(model, vocab, ex.input)
-        beam = se.beam_decode_merge_at_end(model, vocab, ex.input, beam_size=1)
-        if greedy.finished and beam.best.finished:
-            assert beam.best.tokens == greedy.tokens
-
-
 def test_decode_dispatch():
     model, vocab = small_model(seed=9)
     during = se.decode(model, vocab, ("a",), beam_size=4, merge="during")
@@ -194,7 +210,8 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     """Object-per-ray beam, one decoder_advance per fed token: the plain
     loop the array core replaced, kept as its reference.  A ray is [tokens
     (with a trailing EOS once finished), log_prob, state, pending feed ids,
-    finished, flat action path]."""
+    finished, flat action path]; each candidate is (tokens, log_prob,
+    finished, rank, path of its group's first member)."""
     n, v = len(x), model.config.vocab_size
     events = []
 
@@ -259,9 +276,10 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     if not merge:
         rays = merged(rays, -1)
     rays.sort(key=lambda r: (-r[1], r[0]))
-    return [(r[0][:-1] if r[4] else r[0], r[1], r[4], rank) for rank, r in enumerate(rays, 1)], [
-        (ev.step, ev.tokens, ev.merged) for ev in events
+    cands = [
+        (r[0][:-1] if r[4] else r[0], r[1], r[4], rank, r[5]) for rank, r in enumerate(rays, 1)
     ]
+    return cands, [(ev.step, ev.tokens, ev.merged) for ev in events]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -301,10 +319,32 @@ def test_array_core_matches_oracle_reference_and_exact_fallback(seed, precision,
                 # in the last bits, which may reorder near-ties
                 cands, events = reference_beam(model, vocab, x, width, max_len + 1, merge)
                 assert _signature(normal) == (
-                    [(t, f, r) for t, _, f, r in cands], events
+                    [(t, f, r) for t, _, f, r, _ in cands], events
                 )
-                for c, (_, lp, _, _) in zip(normal.candidates, cands):
+                for c, (_, lp, _, _, _) in zip(normal.candidates, cands):
                     assert c.log_prob == pytest.approx(lp, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    x=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), min_size=1, max_size=5),
+    max_len=st.integers(1, 4),
+)
+def test_greedy_matches_width_one_reference(seed, x, max_len):
+    vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b"])
+    model = random_params_model(vocab, np.random.default_rng(seed))
+    x = tuple(x)
+    greedy = se.greedy_decode(model, vocab, x, max_len=max_len)
+    [(tokens, lp, finished, _, path)], _ = reference_beam(model, vocab, x, 1, max_len, False)
+    assert (greedy.tokens, greedy.finished) == (tokens, finished)
+    assert greedy.log_prob == pytest.approx(lp, abs=1e-9)
+    v, n = vocab.size, len(x)
+    flat = tuple(
+        a.token_id if isinstance(a, se.Gen) else v + a.start * n + a.end - 1
+        for a in greedy.actions
+    )
+    assert flat + ((se.EOS_ID,) if finished else ()) == path
 
 
 def test_hash_collisions_take_exact_fallback(monkeypatch):
