@@ -2,9 +2,10 @@
 
 Minimal op set sized for a recurrent encoder-decoder with a log-space
 dynamic program on top: matmuls, a GRU sequence op (one graph node for a
-whole time loop, with a BPTT backward), gathers with scatter-add backward,
-and overflow-safe log-space reductions that treat IEEE -inf as "masked out"
-(zero gradient flows through masked entries).
+whole time loop, with a BPTT backward), the marginal likelihood's suffix DP
+(`marginal_dp`, one graph node whose backward is the outside pass), gathers
+with scatter-add backward, and overflow-safe log-space reductions that treat
+IEEE -inf as "masked out" (zero gradient flows through masked entries).
 
 The GRU step kernel `gru_cell` works on arrays with the three gates stacked
 in z, r, n order, so a step is two matmuls.  A GRU's weights are three
@@ -392,15 +393,21 @@ def take_last(t: Tensor, idx: np.ndarray) -> Tensor:
 # Log-space reductions
 
 
+def _logsumexp_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp of an array along `axis`, kept as a size-1
+    axis; an all -inf slice gives -inf."""
+    m = np.max(x, axis=axis, keepdims=True)
+    m_safe = np.where(np.isneginf(m), 0.0, m)
+    with np.errstate(divide="ignore"):
+        out = m_safe + np.log(np.sum(np.exp(x - m_safe), axis=axis, keepdims=True))
+    return np.where(np.isneginf(m), NEG_INF, out)
+
+
 def logsumexp(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Overflow-safe log-sum-exp; an all -inf slice reduces to -inf with
     zero gradient everywhere in that slice."""
     t = as_tensor(t)
-    m = np.max(t.data, axis=axis, keepdims=True)
-    m_safe = np.where(np.isneginf(m), 0.0, m)
-    with np.errstate(divide="ignore"):
-        out_k = m_safe + np.log(np.sum(np.exp(t.data - m_safe), axis=axis, keepdims=True))
-    out_k = np.where(np.isneginf(m), NEG_INF, out_k)
+    out_k = _logsumexp_keepdims(t.data, axis)
     out = out_k if keepdims else np.squeeze(out_k, axis=axis)
 
     def back(g):
@@ -556,6 +563,65 @@ def gru_sequence(x: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse
         _acc(u, flat.T @ prev.reshape(-1, hid))
 
     return _make(out, (x, h0, w, u, b), back)
+
+
+# ---------------------------------------------------------------------------
+# Marginal suffix DP
+
+
+def marginal_dp(gen_lq: Tensor, copy_lq: Tensor, rel: np.ndarray) -> Tensor:
+    """The marginal likelihood's suffix DP as one graph node -> T[0] [B].
+
+    gen_lq [B, K] and copy_lq [B, K, C] hold the log probabilities of the
+    correct Gen and copy actions at positions k = 0..K-1, -inf where a slot
+    holds none; rel [B, K, C] is each copy's length - 1.  With T[K] = 0,
+
+        T[k] = logsumexp([gen_lq[k] + T[k+1], copy_lq[k, c] + T[k+1+rel[k, c]]])
+
+    The forward runs that recurrence for k = K-1..0, each step the
+    max-shifted log-sum-exp of `logsumexp` over the same row, so it rounds
+    exactly as the per-position composition of tape ops does.
+
+    The backward is the outside pass, which is what reverse mode makes of
+    the inside pass: the edge from k to j = k + length carries the weight
+    exp(term - T[k]) (zero where the term is -inf), the adjoint of T flows
+    forward along the edges, adj[j] += adj[k] * w, and each action's
+    gradient is adj[k] * w.  The edges are scattered once into a dense
+    [B, K, K+1] transition array, so the loop over k is one multiply-add.
+    """
+    gd, cd = gen_lq.data, copy_lq.data
+    bsz, k_steps, cmax = cd.shape
+    # dest[b, k, c]: the suffix position copy slot c at k continues from
+    dest = np.arange(1, k_steps + 1)[:, None] + np.asarray(rel, dtype=np.int64)
+    rows = np.arange(bsz)[:, None]
+    suffix = np.zeros((bsz, k_steps + 1), dtype=gd.dtype)  # T, with T[K] = 0
+    terms = np.empty((bsz, 1 + cmax), dtype=gd.dtype)
+    for k in range(k_steps - 1, -1, -1):
+        terms[:, 0] = gd[:, k] + suffix[:, k + 1]
+        terms[:, 1:] = cd[:, k] + suffix[rows, dest[:, k]]
+        suffix[:, k] = _logsumexp_keepdims(terms, -1)[:, 0]
+
+    def back(g):
+        top = suffix[:, :-1]
+        gen_t = gd + suffix[:, 1:]
+        copy_t = cd + suffix[rows[:, :, None], dest]
+        with np.errstate(invalid="ignore"):
+            w_gen = np.where(np.isneginf(gen_t), 0.0, np.exp(gen_t - top))
+            w_copy = np.where(np.isneginf(copy_t), 0.0, np.exp(copy_t - top[..., None]))
+        # trans[b, k, j]: the summed weight of every edge from k to j
+        width = k_steps + 1
+        flat = np.arange(bsz * k_steps).reshape(bsz, k_steps, 1) * width + dest
+        trans = np.bincount(flat.reshape(-1), w_copy.reshape(-1), bsz * k_steps * width)
+        trans = trans.reshape(bsz, k_steps, width).astype(gd.dtype, copy=False)
+        trans[:, np.arange(k_steps), np.arange(1, width)] += w_gen
+        adj = np.zeros_like(suffix)
+        adj[:, 0] = g
+        for k in range(k_steps - 1):  # adj[k] is complete once k is reached
+            adj[:, k + 1 :] += adj[:, k, None] * trans[:, k, k + 1 :]
+        _acc(gen_lq, adj[:, :-1] * w_gen)
+        _acc(copy_lq, adj[:, :-1, None] * w_copy)
+
+    return _make(suffix[:, 0].copy(), (gen_lq, copy_lq), back)
 
 
 # ---------------------------------------------------------------------------

@@ -348,14 +348,11 @@ def _cmd_train(opt: dict) -> int:
         len(train_set), len(valid_set), train_cfg.epochs, train_cfg.objective,
     )
     records = train(model, vocab, train_set, valid_set, train_cfg)
-    final = records[-1] if records else {}
-    loss = final.get("loss")
-    em = final.get("exact_match")
-    logger.info(
-        "final valid loss %.4f exact match %.3f",
-        float("nan") if loss is None else loss,
-        0.0 if em is None else em,
-    )
+    if valid_set:
+        final = records[-1]
+        logger.info("final valid loss %.4f exact match %.3f", final["loss"], final["exact_match"])
+    else:
+        logger.info("no validation examples")
     model.save(opt["out"], header_extra={"config_hash": config_hash(opt)})
     vocab_out = opt["vocab_out"] or (str(opt["out"]) + ".vocab")
     save_vocab(vocab_out, vocab)

@@ -10,14 +10,17 @@ teacher-forced positions k = 0..m, T[m+1] = 0 and
 where the correct actions are every input span matching a prefix of y[k:],
 the vocab emission of y[k], and Gen(UNK) only as a last resort (y[k] out of
 vocab and nowhere in x); position m has exactly Gen(EOS).  T[0] is the
-marginal log likelihood and every step of the recurrence is differentiable.
+marginal log likelihood.
 
 Teacher-forced states depend only on y[:k], never on which actions produced
 it, so encoder, decoder, attention, and score pieces for all positions run as
-one batched pass; the DP is a short backward loop on top.  The per-position
-normalizer uses the factored span scores with a cumulative log-sum-exp, so a
-training step costs O(len(x) * len(y)) like the rest of the pipeline, not
-O(len(x)^2) per position.
+one batched pass that gathers every correct action's log probability.  The
+DP over those is one graph node, `autodiff.marginal_dp`: its forward runs
+the recurrence on arrays and its backward is the outside pass, so the tape
+does not grow with len(y).  The per-position normalizer uses the factored
+span scores with a cumulative log-sum-exp, so a training step costs
+O(len(x) * len(y)) like the rest of the pipeline, not O(len(x)^2) per
+position.
 
 Two cheaper objectives are kept for comparison: `multi_hot` scores each
 position's correct-action set independently (no continuation term), and
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -312,23 +316,6 @@ def _gathered_scores(
     return gen_lq, copy_lq
 
 
-def _marginal(gen_lq: Tensor, copy_lq: Tensor, bucket: Bucket) -> Tensor:
-    """The suffix DP.  cols holds [T[k+1], ..., T[m+1]] left to right."""
-    bsz, k_steps = gen_lq.shape
-    cmax = copy_lq.shape[-1]
-    rel = bucket.copy_jm1 - bucket.copy_i
-    cols = Tensor(np.zeros((bsz, 1), dtype=gen_lq.dtype))
-    for k in range(k_steps - 1, -1, -1):
-        gen_term = ad.add(ad.narrow(gen_lq, 1, k, 1), ad.narrow(cols, 1, 0, 1))
-        copy_k = ad.reshape(ad.narrow(copy_lq, 1, k, 1), (bsz, cmax))
-        cont = ad.take_last(cols, rel[:, k, :])
-        copy_term = ad.add(copy_k, cont)
-        terms = ad.concat([gen_term, copy_term], 1)
-        t_k = ad.logsumexp(terms, axis=-1, keepdims=True)
-        cols = ad.concat([t_k, cols], 1)
-    return ad.reshape(ad.narrow(cols, 1, 0, 1), (bsz,))
-
-
 def _multi_hot(gen_lq: Tensor, copy_lq: Tensor) -> Tensor:
     bsz, k_steps = gen_lq.shape
     terms = ad.concat([ad.reshape(gen_lq, (bsz, k_steps, 1)), copy_lq], 2)
@@ -355,7 +342,7 @@ def bucket_log_scores(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     gen_lq, copy_lq = _gathered_scores(model, bucket, train, rng)
     if objective == "marginal":
-        return _marginal(gen_lq, copy_lq, bucket)
+        return ad.marginal_dp(gen_lq, copy_lq, bucket.copy_jm1 - bucket.copy_i)
     if objective == "multi_hot":
         return _multi_hot(gen_lq, copy_lq)
     return _longest_copy(gen_lq, copy_lq, bucket)
@@ -454,9 +441,11 @@ def greedy_exact_match(
     model: SpanCopyModel,
     vocab: Vocab,
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-) -> float:
+) -> float | None:
+    """Share of pairs whose greedy decode is finished and equals y; None
+    when there are no pairs."""
     if not pairs:
-        return 0.0
+        return None
     hits = 0
     for x, y in pairs:
         result = search.greedy_decode(model, vocab, list(x))
@@ -473,7 +462,10 @@ def train(
     cfg: TrainConfig,
 ) -> list[dict]:
     """Run the optimizer; returns (and optionally logs) one record per epoch
-    per split: {"epoch", "split", "loss", "exact_match"}.
+    per split: {"epoch", "split", "loss", "exact_match"}.  Train records
+    also carry the epoch's optimizer-loop `wall_s`, `examples_per_s`,
+    `batches` and `mean_batch_size`; their exact_match is None.  With no
+    validation examples, valid records hold None for loss and exact_match.
 
     Deterministic for fixed seeds: batching order and dropout noise both come
     from one generator seeded by cfg.seed.
@@ -490,6 +482,7 @@ def train(
     log_file = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
     try:
         for epoch in range(1, cfg.epochs + 1):
+            start = time.perf_counter()
             batches: list[Bucket] = []
             for bucket in buckets:
                 perm = rng.permutation(bucket.size)
@@ -507,11 +500,16 @@ def train(
                 opt.step()
                 epoch_nll += float(loss.data) * batch.size
                 seen += batch.size
+            wall = time.perf_counter() - start
             records.append(_emit(log_file, {
                 "epoch": epoch,
                 "split": "train",
                 "loss": epoch_nll / seen,
                 "exact_match": None,
+                "wall_s": wall,
+                "examples_per_s": seen / wall,
+                "batches": len(batches),
+                "mean_batch_size": seen / len(batches),
             }))
             records.append(_emit(log_file, {
                 "epoch": epoch,

@@ -1,6 +1,7 @@
 """End-to-end command line checks: artifacts, formats and exit codes."""
 
 import json
+import logging
 import os
 import re
 import subprocess
@@ -78,6 +79,24 @@ def test_train_artifacts(trained_artifacts):
     assert log and {r["split"] for r in log} == {"train", "valid"}
     meta = json.loads((model.parent / "model.json.meta.json").read_text())
     assert meta["command"] == "train"
+
+
+def test_train_without_validation_examples(corpus_dir, tmp_path, caplog):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.jsonl").write_text((corpus_dir / "train.jsonl").read_text())
+    (data / "valid.jsonl").write_text("")
+    with caplog.at_level(logging.INFO, logger="spanedit"):
+        code, _ = run_cli(
+            "train", "--data", str(data), "--out", str(tmp_path / "model.json"),
+            "--epochs", "1", "--embed-dim", "4", "--enc-hidden", "4", "--dec-hidden", "4",
+            "--log", str(tmp_path / "log.jsonl"),
+        )
+    assert code == 0
+    log = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert [(r["loss"], r["exact_match"]) for r in log if r["split"] == "valid"] == [(None, None)]
+    assert "no validation examples" in caplog.messages
+    assert not any("exact match" in m for m in caplog.messages)
 
 
 def test_decode_single_input(trained_artifacts):

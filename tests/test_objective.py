@@ -195,6 +195,23 @@ def test_bucket_scores_match_single_example_route(rng):
         assert batched.data[row] == pytest.approx(single, abs=1e-10)
 
 
+def test_marginal_forward_graph_size_does_not_grow_with_length(rng):
+    # the DP is one graph node, so the Tensors one forward creates are the
+    # same count for a 3-token and a 30-token output
+    vocab, letters = tiny_vocab()
+    model = random_params_model(vocab, rng)
+    x = tuple(letters[:5])
+
+    def tensors_made(m):
+        y = tuple(letters[k % 3] for k in range(m))
+        bucket = build_bucket([(x, y), (x[::-1], y)], vocab, model.config.max_copy_len)
+        before = next(ad._counter)
+        bucket_log_scores(model, bucket, "marginal")
+        return next(ad._counter) - before - 1
+
+    assert tensors_made(3) == tensors_made(30)
+
+
 def test_objectives_differ_in_general(rng):
     vocab, letters = tiny_vocab()
     model = random_params_model(vocab, rng)
@@ -380,9 +397,25 @@ def test_training_log_jsonl(tmp_path, insert_setup):
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert lines == records
     assert {r["split"] for r in lines} == {"train", "valid"}
-    assert all(set(r) == {"epoch", "split", "loss", "exact_match"} for r in lines)
+    base = {"epoch", "split", "loss", "exact_match"}
+    train_keys = base | {"wall_s", "examples_per_s", "batches", "mean_batch_size"}
+    assert all(set(r) == (train_keys if r["split"] == "train" else base) for r in lines)
     epochs = [r["epoch"] for r in lines if r["split"] == "train"]
     assert epochs == [1, 2]
+    for r in lines[::2]:
+        assert r["wall_s"] > 0 and r["examples_per_s"] == pytest.approx(64 / r["wall_s"])
+        assert r["batches"] >= 64 / 16 and r["mean_batch_size"] == 64 / r["batches"]
+
+
+def test_training_without_validation_reports_none(insert_setup):
+    _, splits, vocab = insert_setup
+    model = random_params_model(vocab, np.random.default_rng(4), embed_dim=8, enc_hidden=6, dec_hidden=8)
+    cfg = se.TrainConfig(epochs=1, batch_size=16, lr=1e-3, seed=0)
+    records = se.train(model, vocab, splits["train"][:32], [], cfg)
+    assert [r for r in records if r["split"] == "valid"] == [
+        {"epoch": 1, "split": "valid", "loss": None, "exact_match": None}
+    ]
+    assert greedy_exact_match(model, vocab, []) is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
