@@ -8,9 +8,13 @@ with scatter-add backward, and overflow-safe log-space reductions that treat
 IEEE -inf as "masked out" (zero gradient flows through masked entries).
 
 The GRU step kernel `gru_cell` works on arrays with the three gates stacked
-in z, r, n order, so a step is two matmuls.  A GRU's weights are three
-tensors in that layout (w [3h, in], u [3h, h], b [3h]), which `gru_sequence`
-takes as they are; its backward computes their gradients once per sequence.
+in z, r, n order and D directions stacked on a leading axis, so a step is
+two matmuls batched over the directions.  A GRU's weights are three tensors
+in the gate layout (w [3h, in], u [3h, h], b [3h]), which `gru_sequence`
+takes per direction: a bidirectional encoder layer is one run of both
+directions in one time loop, the second reading its input in reverse, and a
+decoder is the one-direction run.  Its backward computes the weight
+gradients once per sequence.
 
 Graphs are built implicitly: each tensor records its parents and a backward
 closure.  Creation order is a valid topological order because an op's output
@@ -489,80 +493,113 @@ def cumlogsumexp(t: Tensor) -> Tensor:
 
 
 def gru_cell(x, h, w, u, b):
-    """One GRU step on arrays: a [B, in] input and a [B, hid] state, with the
-    gates stacked in z, r, n order (w [3h, in], u [3h, h], b [3h]).
+    """One GRU step on arrays, for D directions stacked on a leading axis: a
+    [D, B, in] input and a [D, B, hid] state, with each direction's gates
+    stacked in z, r, n order (w [D, 3h, in], u [D, 3h, h], b [D, 3h]).
 
     z = sigmoid(x Wz^T + h Uz^T + bz)
     r = sigmoid(x Wr^T + h Ur^T + br)
     n = tanh(x Wn^T + r * (h Un^T) + bn)
     h' = (1 - z) * n + z * h
 
-    That is two matmuls, `x w^T` and `h u^T`, and one sigmoid over the first
-    2h columns.  Returns (h', z, r, n, h Un^T); `gru_sequence`'s backward
-    reuses the last four.  No graph is recorded.
+    That is two matmuls batched over the directions, `x w^T` and `h u^T`,
+    and one sigmoid over the first 2h columns.  Returns (h', z, r, n, h Un^T);
+    `gru_sequence`'s backward reuses the last four.  No graph is recorded.
     """
     hid = h.shape[-1]
-    xw = x @ w.T
-    hu = h @ u.T
-    zr = 1.0 / (1.0 + np.exp(-(xw[:, : 2 * hid] + hu[:, : 2 * hid] + b[: 2 * hid])))
-    z, r = zr[:, :hid], zr[:, hid:]
-    hu_n = hu[:, 2 * hid :]
-    n = np.tanh(xw[:, 2 * hid :] + r * hu_n + b[2 * hid :])
+    xw = x @ w.transpose(0, 2, 1)
+    hu = h @ u.transpose(0, 2, 1)
+    b = b[:, None]
+    zr = 1.0 / (1.0 + np.exp(-(xw[..., : 2 * hid] + hu[..., : 2 * hid] + b[..., : 2 * hid])))
+    z, r = zr[..., :hid], zr[..., hid:]
+    hu_n = hu[..., 2 * hid :]
+    n = np.tanh(xw[..., 2 * hid :] + r * hu_n + b[..., 2 * hid :])
     return (1.0 - z) * n + z * h, z, r, n, hu_n
 
 
-def gru_sequence(x: Tensor, h0: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """A GRU run over time: x [B, T, in] from state h0 [B, hid] -> [B, T, hid],
-    with the stacked gate weights w [3h, in], u [3h, h] and b [3h] of
-    `gru_cell`.
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays stacked on a new leading axis; a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
-    Slot t holds the state after consuming x[:, t]; with reverse=True the
-    steps run from t = T-1 down to 0, so slot t has consumed x[:, t:].  The
-    whole loop is one graph node.  The forward steps `gru_cell`, projecting
-    each step's input inside the kernel as decoding does.  The backward
-    (BPTT) runs one `[B, 3h] @ [3h, h]` matmul per step and keeps the stacked
-    gate gradients; the input and weight gradients are then three matmuls and
-    a sum over the whole sequence.  It is checked against a composition of
-    per-step primitive ops and against finite differences.
+
+def _time_order(a: np.ndarray) -> np.ndarray:
+    """[D, B, T, ...] per-direction arrays between step order and time order.
+    Only direction 1's differ: it steps backward in time, so its step s is
+    time T-1-s."""
+    return a if len(a) == 1 else np.array([a[0], a[1, :, ::-1]])
+
+
+def gru_sequence(x: Tensor, h0: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """GRU runs over time in D = len(weights) directions at once, D = 1 or
+    2: x [B, T, in] from the states h0 [B, D*hid] -> [B, T, D*hid].
+    Direction d has the stacked gate weights weights[d] = (w [3h, in],
+    u [3h, h], b [3h]) of `gru_cell`, starts from h0[:, d*hid:(d+1)*hid] and
+    fills the same columns of the output.
+
+    Direction 0 runs forward: slot t holds its state after consuming
+    x[:, t].  Direction 1 runs backward from t = T-1 down to 0, so slot t
+    holds its state after consuming x[:, t:].  Each step of the time loop
+    advances every direction in one `gru_cell` call, projecting the step's
+    input inside the kernel as decoding does; the whole loop is one graph
+    node.  The backward (BPTT) runs one `[B, 3h] @ [3h, h]` matmul per step
+    and direction, batched over the directions, and keeps the stacked gate
+    gradients; the input and weight gradients are then batched matmuls and
+    a sum over the whole sequence, with each direction's rows in time order.
+    It is checked against a composition of per-step primitive ops and
+    against finite differences.
     """
-    xs, wd, ud, bd = x.data, w.data, u.data, b.data
+    dirs = len(weights)
+    if dirs not in (1, 2):
+        raise ValueError(f"gru_sequence runs 1 or 2 directions, got {dirs}")
+    xs = x.data
     bsz, steps_n = xs.shape[:2]
-    hid = h0.data.shape[1]
-    steps = range(steps_n - 1, -1, -1) if reverse else range(steps_n)
-    out = np.empty((bsz, steps_n, hid), dtype=h0.data.dtype)
-    prev = np.empty_like(out)  # slot t: the state before consuming x[:, t]
-    saved = [None] * steps_n  # slot t: (z, r, n, h Un^T) of that step
-    h = h0.data
-    for t in steps:
-        prev[:, t] = h
-        h, z, r, n, hu = gru_cell(xs[:, t], h, wd, ud, bd)
-        saved[t] = (z, r, n, hu.copy())  # the copy frees the rest of h u^T
-        out[:, t] = h
+    hid = h0.data.shape[1] // dirs
+    wd, ud, bd = (_stacked([wub[i].data for wub in weights]) for i in range(3))
+    x_steps = _stacked([xs, xs[:, ::-1]][:dirs])  # [D, B, T, in] in step order
+    # step order: slot s holds the state before step s, slot T the last one
+    states = np.empty((dirs, bsz, steps_n + 1, hid), dtype=h0.data.dtype)
+    states[:, :, 0] = h0.data.reshape(bsz, dirs, hid).transpose(1, 0, 2)
+    saved = [None] * steps_n  # slot s: (z, r, n, h Un^T) of step s
+    h = states[:, :, 0]
+    for s in range(steps_n):
+        h, z, r, n, hu = gru_cell(x_steps[:, :, s], h, wd, ud, bd)
+        saved[s] = (z, r, n, hu.copy())  # the copy frees the rest of h u^T
+        states[:, :, s + 1] = h
+    out = np.ascontiguousarray(_time_order(states[:, :, 1:]).transpose(1, 2, 0, 3).reshape(bsz, steps_n, -1))
 
     def back(g):
+        g_steps = _time_order(g.reshape(bsz, steps_n, dirs, hid).transpose(2, 0, 1, 3))
         # d pre-activations per step, gates stacked z, r, n
-        gates = np.empty((bsz, steps_n, 3 * hid), dtype=out.dtype)
-        gh = np.zeros_like(h0.data)
-        for t in reversed(steps):
-            z, r, n, hu = saved[t]
-            gt = g[:, t] + gh
-            gn = gt * (1.0 - z) * (1.0 - n * n)
-            gz = gt * (prev[:, t] - n) * z * (1.0 - z)
+        gates = np.empty((dirs, bsz, steps_n, 3 * hid), dtype=out.dtype)
+        gh = np.zeros((dirs, bsz, hid), dtype=out.dtype)
+        for s in range(steps_n - 1, -1, -1):
+            z, r, n, hu = saved[s]
+            gt = g_steps[:, :, s] + gh
+            keep = 1.0 - z
+            gn = gt * keep * (1.0 - n * n)
+            gz = gt * (states[:, :, s] - n) * z * keep
             gr = gn * hu * r * (1.0 - r)
-            gates[:, t, :hid], gates[:, t, hid : 2 * hid], gates[:, t, 2 * hid :] = gz, gr, gn
-            gu = gates[:, t].copy()
-            gu[:, 2 * hid :] *= r  # h reaches n through r * (h Un^T)
+            gx = gates[:, :, s]
+            gx[..., :hid], gx[..., hid : 2 * hid], gx[..., 2 * hid :] = gz, gr, gn
+            gu = gx.copy()
+            gu[..., 2 * hid :] *= r  # h reaches n through r * (h Un^T)
             gh = gt * z + gu @ ud
-        flat = gates.reshape(-1, 3 * hid)
-        _acc(x, (flat @ wd).reshape(xs.shape))
-        _acc(h0, gh)
-        _acc(w, flat.T @ xs.reshape(-1, xs.shape[2]))
-        _acc(b, flat.sum(axis=0))
-        for t, (_, r, _, _) in enumerate(saved):  # now the gradient of h Un^T
-            gates[:, t, 2 * hid :] *= r
-        _acc(u, flat.T @ prev.reshape(-1, hid))
+        _acc(h0, gh.transpose(1, 0, 2).reshape(bsz, dirs * hid))
+        flat = _time_order(gates).reshape(dirs, -1, 3 * hid)  # rows as x's
+        for gx in flat @ wd:
+            _acc(x, gx.reshape(xs.shape))
+        gw = flat.transpose(0, 2, 1) @ xs.reshape(-1, xs.shape[2])
+        gb = flat.sum(axis=1)
+        for s, (_, r, _, _) in enumerate(saved):  # now the gradient of h u^T
+            gates[:, :, s, 2 * hid :] *= r
+        flat = _time_order(gates).reshape(dirs, -1, 3 * hid)
+        gu = flat.transpose(0, 2, 1) @ _time_order(states[:, :, :-1]).reshape(dirs, -1, hid)
+        for d, (w, u, b) in enumerate(weights):
+            _acc(w, gw[d])
+            _acc(u, gu[d])
+            _acc(b, gb[d])
 
-    return _make(out, (x, h0, w, u, b), back)
+    return _make(out, (x, h0, *itertools.chain.from_iterable(weights)), back)
 
 
 # ---------------------------------------------------------------------------

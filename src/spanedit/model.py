@@ -1,7 +1,8 @@
 """Encoder-decoder with a joint generate-or-copy action distribution.
 
-Architecture: a bidirectional multi-layer GRU encoder, a single-layer GRU
-decoder whose state depends only on the tokens consumed so far, multiplicative
+Architecture: a bidirectional multi-layer GRU encoder (each layer one
+two-direction `ad.gru_sequence` run), a single-layer GRU decoder whose state
+depends only on the tokens consumed so far, multiplicative
 attention, and one softmax over all actions: every vocab token plus every
 contiguous input span (i, j), i < j.  A span's score is bilinear in the
 decoder's attended state and the concatenated encoder states at the span's
@@ -13,11 +14,11 @@ Copying a span of length L advances the decoder exactly like emitting those L
 tokens one at a time, so the decoder state is a function of the token prefix,
 whichever action path produced it.  The decoder works on rows: a state is a
 [R, d] array, advanced by one token per row in one GRU step.  Decoding and
-training step the same kernel (`ad.gru_cell`) on the same stacked gate
-weights, so one row stepped alone from `initial_state` equals the
-teacher-forced state of `forced_states` bitwise.  Each GRU's weights are
-stored as that kernel takes them, three parameters with the gates stacked;
-only checkpoint files split them per gate.
+training step the same kernel (`ad.gru_cell`, as its one-direction run) on
+the same stacked gate weights, so one row stepped alone from
+`initial_state` equals the teacher-forced state of `forced_states` bitwise.
+Each GRU's weights are stored as that kernel takes them, three parameters
+with the gates stacked; only checkpoint files split them per gate.
 A row stepped inside a larger batch may differ from the same row stepped
 alone in the last bits, since BLAS picks its kernel by shape, so beam-search
 merging does not lean on bitwise equality: a merged ray keeps the state of
@@ -218,23 +219,18 @@ class SpanCopyModel:
             raise ModelError("cannot encode an empty input sequence")
         cfg = self.config
         inp = ad.embed_lookup(self._p("embed.E"), x_ids)  # [B, n, E]
-        h0 = Tensor(np.zeros((bsz, cfg.enc_hidden), dtype=cfg.dtype))
+        h0 = Tensor(np.zeros((bsz, cfg.ctx_dim), dtype=cfg.dtype))
         for layer in range(cfg.enc_layers):
-            fwd = ad.gru_sequence(inp, h0, *self._gru(f"enc.l{layer}.fwd."))
-            bwd = ad.gru_sequence(inp, h0, *self._gru(f"enc.l{layer}.bwd."), reverse=True)
-            out = ad.concat([fwd, bwd], 2)
+            out = ad.gru_sequence(inp, h0, [self._gru(f"enc.l{layer}.{d}.") for d in ("fwd", "bwd")])
             if layer < cfg.enc_layers - 1:
                 inp = ad.dropout(out, cfg.dropout, train, rng)
             else:
                 inp = out
         # the end states: forward after x[n-1], backward after x[0]
-        last = ad.concat(
-            [
-                ad.reshape(ad.narrow(fwd, 1, n - 1, 1), (bsz, cfg.enc_hidden)),
-                ad.reshape(ad.narrow(bwd, 1, 0, 1), (bsz, cfg.enc_hidden)),
-            ],
-            1,
-        )  # [B, ctx]
+        hid = cfg.enc_hidden
+        fwd_end = ad.narrow(ad.narrow(out, 1, n - 1, 1), 2, 0, hid)
+        bwd_end = ad.narrow(ad.narrow(out, 1, 0, 1), 2, hid, hid)
+        last = ad.reshape(ad.concat([fwd_end, bwd_end], 2), (bsz, cfg.ctx_dim))
         summary = ad.tanh(
             ad.add(ad.matmul(last, self._p("enc.bridge.W"), transpose_b=True), self._p("enc.bridge.b"))
         )
@@ -252,21 +248,22 @@ class SpanCopyModel:
 
     # -- decoder state
 
-    def initial_state(self, enc: EncoderOutputs) -> Tensor:
+    def initial_state(self, enc: EncoderOutputs) -> np.ndarray:
         """The [1, d] state after consuming START."""
-        h = ad.reshape(enc.summary, (1, self.config.dec_hidden))
+        h = enc.summary.data.reshape(1, self.config.dec_hidden)
         return self.decoder_advance(h, np.asarray([START_ID]))
 
-    def decoder_advance(self, hidden: Tensor, token_ids: Sequence[int]) -> Tensor:
+    def decoder_advance(self, hidden: np.ndarray, token_ids: Sequence[int]) -> np.ndarray:
         """Advance R states [R, d] by one token each in one GRU step; row r
         of the result is row r advanced by token_ids[r].
 
-        For decoding only: it runs the array kernel, so the result carries
-        no gradient.  Training steps the decoder through `forced_states`.
+        For decoding only: it takes and returns arrays and runs the array
+        kernel as the D = 1 run `forced_states` makes, so it carries no
+        gradient.  Training steps the decoder through `forced_states`.
         """
         emb = self._p("embed.E").data[np.asarray(token_ids, dtype=np.int64)]
-        h, *_ = ad.gru_cell(emb, hidden.data, *(p.data for p in self._gru("dec.")))
-        return Tensor(h)
+        h, *_ = ad.gru_cell(emb[None], hidden[None], *(p.data[None] for p in self._gru("dec.")))
+        return h[0]
 
     def forced_states(self, summary: Tensor, dec_in: np.ndarray) -> Tensor:
         """Teacher-forced decoder states.
@@ -275,7 +272,7 @@ class SpanCopyModel:
         where slot k is the state after consuming dec_in[:, :k+1].
         """
         emb = ad.embed_lookup(self._p("embed.E"), np.asarray(dec_in, dtype=np.int64))
-        return ad.gru_sequence(emb, summary, *self._gru("dec."))
+        return ad.gru_sequence(emb, summary, [self._gru("dec.")])
 
     # -- attention
 

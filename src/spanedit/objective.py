@@ -390,16 +390,16 @@ class Adam:
     def zero_grad(self) -> None:
         ad.zero_grad(self.params.values())
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """One update; returns the global gradient norm before clipping."""
         grads = {k: p.grad_array() for k, p in self.params.items()}
         sq = sum(float((g * g).sum()) for g in grads.values())
         if not math.isfinite(sq):
             raise DivergenceError("non-finite gradient norm")
-        if self.clip_norm is not None:
-            norm = math.sqrt(sq)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / norm
-                grads = {k: g * scale for k, g in grads.items()}
+        norm = math.sqrt(sq)
+        if self.clip_norm is not None and norm > self.clip_norm:
+            scale = self.clip_norm / norm
+            grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
@@ -412,6 +412,7 @@ class Adam:
             v *= self.b2
             v += (1.0 - self.b2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        return norm
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +465,11 @@ def train(
     """Run the optimizer; returns (and optionally logs) one record per epoch
     per split: {"epoch", "split", "loss", "exact_match"}.  Train records
     also carry the epoch's optimizer-loop `wall_s`, `examples_per_s`,
-    `batches` and `mean_batch_size`; their exact_match is None.  With no
-    validation examples, valid records hold None for loss and exact_match.
+    `batches` and `mean_batch_size`, and the global gradient norm before
+    clipping as `grad_norm_mean` and `grad_norm_max` over the epoch's steps,
+    with `clip_fraction` the share of steps it was clipped in; their
+    exact_match is None.  With no validation examples, valid records hold
+    None for loss and exact_match.
 
     Deterministic for fixed seeds: batching order and dropout noise both come
     from one generator seeded by cfg.seed.
@@ -488,7 +492,7 @@ def train(
                 perm = rng.permutation(bucket.size)
                 for lo in range(0, bucket.size, cfg.batch_size):
                     batches.append(bucket.take(perm[lo : lo + cfg.batch_size]))
-            epoch_nll, seen = 0.0, 0
+            epoch_nll, seen, norms = 0.0, 0, []
             for pos in rng.permutation(len(batches)):
                 batch = batches[pos]
                 opt.zero_grad()
@@ -497,7 +501,7 @@ def train(
                 if not np.isfinite(loss.data):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
                 ad.backward(loss)
-                opt.step()
+                norms.append(opt.step())
                 epoch_nll += float(loss.data) * batch.size
                 seen += batch.size
             wall = time.perf_counter() - start
@@ -510,6 +514,9 @@ def train(
                 "examples_per_s": seen / wall,
                 "batches": len(batches),
                 "mean_batch_size": seen / len(batches),
+                "grad_norm_mean": sum(norms) / len(norms),
+                "grad_norm_max": max(norms),
+                "clip_fraction": sum(n > cfg.clip_norm for n in norms) / len(norms),
             }))
             records.append(_emit(log_file, {
                 "epoch": epoch,

@@ -379,7 +379,7 @@ def _settle(model: SpanCopyModel, table: _ActionTable, hidden: np.ndarray, actio
     for d in range(int(depth.max(initial=0))):
         rows = (depth > d).nonzero()[0]
         ids = table.feed[start[rows] + d]
-        hidden[rows] = model.decoder_advance(Tensor(hidden[rows]), ids).data
+        hidden[rows] = model.decoder_advance(hidden[rows], ids)
     return hidden
 
 
@@ -406,7 +406,7 @@ def _beam_search(
             hash=np.zeros(1, dtype=np.uint64),
             length=np.zeros(1, dtype=np.int64),
             finished=np.zeros(1, dtype=bool),
-            hidden=model.initial_state(enc).data,
+            hidden=model.initial_state(enc),
             tokens=[()],
             paths=None if merge else [()],
         )

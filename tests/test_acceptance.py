@@ -283,7 +283,7 @@ def test_criterion_9_normalization_and_path_independence(capsys):
             forced = model.forced_states(
                 ad.reshape(enc.summary, (1, -1)), np.asarray([[se.START_ID] + ids[:j]])
             )
-            if not np.array_equal(hidden.data[0], forced.data[0, j]):
+            if not np.array_equal(hidden[0], forced.data[0, j]):
                 paths_equal = False
             draws += 1
     verdict(

@@ -180,9 +180,35 @@ def test_attention_weights_normalize(rng):
     assert (w >= 0).all()
     # attend_states pools the encoder states with these weights
     p = model.params
-    mixed = np.concatenate([w @ enc.contextual.data, hidden.data], axis=1)
+    mixed = np.concatenate([w @ enc.contextual.data, hidden], axis=1)
     want = np.tanh(mixed @ p["attn.W_c"].data.T + p["attn.b_c"].data)
     assert np.allclose(model.attend_states(hidden, enc).data, want, rtol=0, atol=1e-12)
+
+
+def test_encoder_equals_two_single_direction_runs(rng):
+    """Each layer's one two-direction run against a forward run and a run
+    over the time-reversed input, concatenated: bitwise in float64."""
+    vocab, _ = tiny_vocab()
+    model = random_params_model(vocab, rng)
+    cfg, p = model.config, model.params
+    x_ids = rng.integers(4, vocab.size, size=(3, 5))
+    enc = model.encode_batch(x_ids)
+
+    def run(inp, prefix):
+        h0 = ad.Tensor(np.zeros((len(inp), cfg.enc_hidden)))
+        weights = [(p[prefix + "W"], p[prefix + "U"], p[prefix + "b"])]
+        return ad.gru_sequence(ad.Tensor(np.ascontiguousarray(inp)), h0, weights).data
+
+    inp = p["embed.E"].data[x_ids]
+    for layer in range(cfg.enc_layers):
+        fwd = run(inp, f"enc.l{layer}.fwd.")
+        bwd = run(inp[:, ::-1], f"enc.l{layer}.bwd.")[:, ::-1]
+        inp = np.concatenate([fwd, bwd], axis=2)
+    last = np.concatenate([fwd[:, -1], bwd[:, 0]], axis=1)
+    summary = np.tanh(last @ p["enc.bridge.W"].data.T + p["enc.bridge.b"].data)
+    assert enc.contextual.data.dtype == np.float64
+    assert np.array_equal(enc.contextual.data, inp)
+    assert np.array_equal(enc.summary.data, summary)
 
 
 def test_decoder_state_path_independent(rng):
@@ -198,10 +224,10 @@ def test_decoder_state_path_independent(rng):
         ad.reshape(enc.summary, (1, -1)), np.asarray([[START_ID] + ids])
     ).data[0]
     hidden = model.initial_state(enc)
-    assert np.array_equal(hidden.data[0], forced[0])
+    assert np.array_equal(hidden[0], forced[0])
     for j, tok in enumerate(ids, start=1):
         hidden = model.decoder_advance(hidden, [tok])
-        assert np.array_equal(hidden.data[0], forced[j])
+        assert np.array_equal(hidden[0], forced[j])
 
 
 def test_action_distribution_log_prob_roundtrip(rng):

@@ -398,13 +398,21 @@ def test_training_log_jsonl(tmp_path, insert_setup):
     assert lines == records
     assert {r["split"] for r in lines} == {"train", "valid"}
     base = {"epoch", "split", "loss", "exact_match"}
-    train_keys = base | {"wall_s", "examples_per_s", "batches", "mean_batch_size"}
+    train_keys = base | {"wall_s", "examples_per_s", "batches", "mean_batch_size",
+                         "grad_norm_mean", "grad_norm_max", "clip_fraction"}
     assert all(set(r) == (train_keys if r["split"] == "train" else base) for r in lines)
     epochs = [r["epoch"] for r in lines if r["split"] == "train"]
     assert epochs == [1, 2]
     for r in lines[::2]:
         assert r["wall_s"] > 0 and r["examples_per_s"] == pytest.approx(64 / r["wall_s"])
         assert r["batches"] >= 64 / 16 and r["mean_batch_size"] == 64 / r["batches"]
+        assert 0 < r["grad_norm_mean"] <= r["grad_norm_max"]
+    # the norms are taken before clipping: every step clips under a tiny
+    # bound and none under a huge one
+    for clip_norm, share in ((1e9, 0.0), (1e-9, 1.0)):
+        tcfg = se.TrainConfig(epochs=1, batch_size=16, lr=1e-3, seed=0, clip_norm=clip_norm)
+        rec = se.train(se.SpanCopyModel(cfg), vocab, splits["train"][:32], [], tcfg)[0]
+        assert rec["clip_fraction"] == share and rec["grad_norm_max"] > 1e-9
 
 
 def test_training_without_validation_reports_none(insert_setup):

@@ -216,7 +216,7 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     events = []
 
     def successors(enc, active):
-        hidden = se.Tensor(np.concatenate([r[2].data for r in active]))
+        hidden = np.concatenate([r[2] for r in active])
         lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
         flat = np.concatenate([lqv.data, lqs.data.reshape(len(active), -1)], axis=1)
         out = []
