@@ -115,9 +115,11 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 def _acc(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # a copy, never g itself: add hands one g to both parents
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -399,12 +401,14 @@ def take_last(t: Tensor, idx: np.ndarray) -> Tensor:
 
 def _logsumexp_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted log-sum-exp of an array along `axis`, kept as a size-1
-    axis; an all -inf slice gives -inf."""
-    m = np.max(x, axis=axis, keepdims=True)
-    m_safe = np.where(np.isneginf(m), 0.0, m)
+    axis; an all -inf slice is shifted by 0, sums to 0 and gives log 0 = -inf."""
+    m = x.max(axis=axis, keepdims=True)
+    empty = m == NEG_INF
+    if not empty.any():
+        return m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+    m = np.where(empty, 0.0, m)
     with np.errstate(divide="ignore"):
-        out = m_safe + np.log(np.sum(np.exp(x - m_safe), axis=axis, keepdims=True))
-    return np.where(np.isneginf(m), NEG_INF, out)
+        return m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
 
 
 def logsumexp(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -412,7 +416,7 @@ def logsumexp(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     zero gradient everywhere in that slice."""
     t = as_tensor(t)
     out_k = _logsumexp_keepdims(t.data, axis)
-    out = out_k if keepdims else np.squeeze(out_k, axis=axis)
+    out = out_k if keepdims else out_k.squeeze(axis)
 
     def back(g):
         gk = g if keepdims else np.expand_dims(g, axis)

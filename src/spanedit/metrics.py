@@ -135,8 +135,8 @@ class EvalReport:
 
 def _aggregate(rows: list[dict[str, float]]) -> dict[str, float]:
     keys = ("exact_match", "accuracy_at_k", "mrr", "structural_match", "input_mrr")
-    if not rows:
-        return {key: 0.0 for key in keys}
+    if not rows:  # a mean over no examples is undefined, not 0
+        raise ValueError("no examples to evaluate")
     return {key: sum(r[key] for r in rows) / len(rows) for key in keys}
 
 
@@ -155,7 +155,7 @@ def evaluate(
     high values flag a model that learned to copy rather than edit.  It is a
     rank among this model's own beam candidates, so it compares with the same
     report's mrr (the gold edit's rank in that beam), not with the input_mrr
-    of another model, whose beam holds different candidates."""
+    of another model, whose beam holds different candidates.  Raises ValueError on no examples."""
 
     def one(ex: EditExample) -> tuple[str, dict[str, float]]:
         result = decode(model, vocab, list(ex.input), beam_size, max_len, merge)

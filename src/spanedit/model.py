@@ -6,9 +6,9 @@ depends only on the tokens consumed so far, multiplicative
 attention, and one softmax over all actions: every vocab token plus every
 contiguous input span (i, j), i < j.  A span's score is bilinear in the
 decoder's attended state and the concatenated encoder states at the span's
-first and last token, which factors as start[i] + end[j-1]; the factored form
-is what the training objective exploits, while decoding materializes the full
-[n, n] matrix.
+first and last token, which factors as start[i] + end[j-1].  Training and
+decoding (on a batch of one) score through that factored form; only the
+brute-force oracle materializes the [n, n] span matrix.
 
 Copying a span of length L advances the decoder exactly like emitting those L
 tokens one at a time, so the decoder state is a function of the token prefix,
@@ -27,6 +27,7 @@ its group's first member.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -113,8 +114,8 @@ def action_surfaces(a: Action, x: Sequence[str], vocab) -> tuple[str, ...]:
 
 @dataclass
 class EncoderOutputs:
-    contextual: Tensor  # [n, ctx] single example, [B, n, ctx] batched
-    summary: Tensor  # [dec_hidden] or [B, dec_hidden]
+    contextual: Tensor  # [B, n, ctx]; decoding encodes a batch of one
+    summary: Tensor  # [B, dec_hidden]
 
 
 def _gru_shapes(prefix: str, indim: int, hid: int) -> dict[str, tuple[int, ...]]:
@@ -179,6 +180,12 @@ def init_parameters(cfg: ModelConfig) -> dict[str, Tensor]:
     return params
 
 
+@functools.lru_cache(maxsize=64)
+def _forbidden_spans(n: int, max_copy_len: int | None) -> np.ndarray:
+    """[n, n] mask of the span cells (i, j-1) that are no action; shared, never write to it."""
+    return ~np.eye(n, dtype=bool) if max_copy_len == 1 else np.tri(n, k=-1, dtype=bool)
+
+
 class SpanCopyModel:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None):
         self.config = config
@@ -236,22 +243,11 @@ class SpanCopyModel:
         )
         return EncoderOutputs(contextual=inp, summary=summary)
 
-    def encode(
-        self, x_ids: Sequence[int], train: bool = False, rng: np.random.Generator | None = None
-    ) -> EncoderOutputs:
-        enc = self.encode_batch(np.asarray([list(x_ids)], dtype=np.int64), train, rng)
-        n = len(x_ids)
-        return EncoderOutputs(
-            contextual=ad.reshape(enc.contextual, (n, self.config.ctx_dim)),
-            summary=ad.reshape(enc.summary, (self.config.dec_hidden,)),
-        )
-
     # -- decoder state
 
     def initial_state(self, enc: EncoderOutputs) -> np.ndarray:
-        """The [1, d] state after consuming START."""
-        h = enc.summary.data.reshape(1, self.config.dec_hidden)
-        return self.decoder_advance(h, np.asarray([START_ID]))
+        """The [1, d] state after consuming START, for a batch of one."""
+        return self.decoder_advance(enc.summary.data, np.asarray([START_ID]))
 
     def decoder_advance(self, hidden: np.ndarray, token_ids: Sequence[int]) -> np.ndarray:
         """Advance R states [R, d] by one token each in one GRU step; row r
@@ -294,20 +290,15 @@ class SpanCopyModel:
         )
         return ad.dropout(ht, self.config.dropout, train, rng)
 
-    def attend_states(self, hidden: Tensor, enc: EncoderOutputs) -> Tensor:
-        """hidden [R, d] against a single example's ctx [n, C] -> [R, d]."""
-        hp = ad.matmul(hidden, self._p("attn.W_a"))  # [R, C]
-        scores = ad.matmul(hp, enc.contextual, transpose_b=True)  # [R, n]
-        weights = ad.exp(ad.log_softmax(scores, axis=-1))
-        pooled = ad.matmul(weights, enc.contextual)  # [R, C]
-        mixed = ad.concat([pooled, hidden], 1)
-        return ad.tanh(
-            ad.add(ad.matmul(mixed, self._p("attn.W_c"), transpose_b=True), self._p("attn.b_c"))
-        )
+    def attend_states(self, hidden: np.ndarray, enc: EncoderOutputs) -> Tensor:
+        """Decoder rows hidden [R, d] against a batch-of-one encoding ->
+        attended states [1, R, d]: `attend_batch` with the rows as its K."""
+        return self.attend_batch(Tensor(hidden[None]), enc.contextual)
 
     # -- action scores
 
-    def _vocab_scores(self, ht: Tensor) -> Tensor:
+    def vocab_scores(self, ht: Tensor) -> Tensor:
+        """Attended states [..., d] -> vocab scores [..., V], -inf at PAD and START."""
         if self.config.tie_embeddings:
             proj = ad.matmul(ht, self._p("out.W_proj"), transpose_b=True)
             vs = ad.matmul(proj, self._p("embed.E"), transpose_b=True)
@@ -316,46 +307,22 @@ class SpanCopyModel:
         vs = ad.add(vs, self._p("out.b"))
         return ad.masked_fill(vs, self._vocab_mask, ad.NEG_INF)
 
-    def _span_invalid_mask(self, n: int) -> np.ndarray:
-        i = np.arange(n)[:, None]
-        jm1 = np.arange(n)[None, :]
-        invalid = jm1 < i
-        if self.config.max_copy_len is not None:
-            invalid |= (jm1 - i + 1) > self.config.max_copy_len
-        return invalid
+    def span_projections(self, ctx: Tensor) -> tuple[Tensor, Tensor]:
+        """ctx [B, n, C] -> the start and end projections [B, n, d] of `score_components`."""
+        return tuple(ad.matmul(ctx, self._p(w), transpose_b=True) for w in ("span.W_start", "span.W_end"))
 
-    def action_scores_many(self, ht: Tensor, enc: EncoderOutputs) -> tuple[Tensor, Tensor]:
-        """Full action distributions for R states against one example.
+    def score_components(self, ht: Tensor, proj) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """Factored action scores.
 
-        ht [R, d], enc.contextual [n, C] -> (log_q_vocab [R, V],
-        log_q_span [R, n, n]) normalized jointly by one softmax.
+        ht [B, K, d], proj = `span_projections(ctx)` -> (vocab scores
+        [B, K, V], span start scores [B, K, n], span end scores [B, K, n],
+        log normalizer [B, K]).  log q(Gen(t)) = vs[..., t] - z;  log
+        q(Copy(i, j)) = a[..., i] + c[..., j-1] - z.  The normalizer folds
+        all spans in via a cumulative log-sum-exp over start scores, which
+        keeps the whole step linear in n.
         """
-        n = enc.contextual.shape[0]
-        r = ht.shape[0]
-        vs = self._vocab_scores(ht)  # [R, V]
-        a = ad.matmul(ht, ad.matmul(enc.contextual, self._p("span.W_start"), transpose_b=True), transpose_b=True)
-        c = ad.matmul(ht, ad.matmul(enc.contextual, self._p("span.W_end"), transpose_b=True), transpose_b=True)
-        span = ad.add(ad.reshape(a, (r, n, 1)), ad.reshape(c, (r, 1, n)))
-        span = ad.masked_fill(span, self._span_invalid_mask(n)[None, :, :], ad.NEG_INF)
-        flat = ad.concat([vs, ad.reshape(span, (r, n * n))], 1)
-        logq = ad.log_softmax(flat, axis=-1)
-        v = self.config.vocab_size
-        return ad.narrow(logq, 1, 0, v), ad.reshape(ad.narrow(logq, 1, v, n * n), (r, n, n))
-
-    def score_components(self, ht: Tensor, ctx: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Factored scores for the training objective.
-
-        ht [B, K, d], ctx [B, n, C] -> (vocab scores [B, K, V], span start
-        scores [B, K, n], span end scores [B, K, n], log normalizer [B, K]).
-        log q(Gen(t)) = vs[..., t] - z;  log q(Copy(i, j)) = a[..., i] +
-        c[..., j-1] - z.  The normalizer folds all spans in via a cumulative
-        log-sum-exp over start scores, which keeps the whole step linear in n.
-        """
-        a_proj = ad.matmul(ctx, self._p("span.W_start"), transpose_b=True)  # [B, n, d]
-        c_proj = ad.matmul(ctx, self._p("span.W_end"), transpose_b=True)
-        a = ad.bmm_t(ht, a_proj)  # [B, K, n]
-        c = ad.bmm_t(ht, c_proj)
-        vs = self._vocab_scores(ht)  # [B, K, V]
+        a, c = (ad.bmm_t(ht, p) for p in proj)  # [B, K, n] each
+        vs = self.vocab_scores(ht)  # [B, K, V]
         vocab_lse = ad.logsumexp(vs, axis=-1)
         if self.config.max_copy_len == 1:
             span_lse = ad.logsumexp(ad.add(a, c), axis=-1)
@@ -363,6 +330,17 @@ class SpanCopyModel:
             span_lse = ad.logsumexp(ad.add(c, ad.cumlogsumexp(a)), axis=-1)
         z = ad.logaddexp(vocab_lse, span_lse)
         return vs, a, c, z
+
+    def action_scores_many(self, ht: Tensor, proj) -> tuple[Tensor, Tensor]:
+        """Decoding's action log-probabilities, with no gradient: attended
+        states ht [1, R, d] and their encoding's `span_projections` ->
+        (log_q_vocab [R, V], log_q_span [R, n, n]) by `score_components`; cell
+        (i, j-1) holds Copy(i, j), and cells that are no action hold -inf."""
+        vs, a, c, z = self.score_components(ht, proj)
+        z = z.data[0, :, None]
+        log_q_span = a.data[0, :, :, None] + (c.data[0, :, None, :] - z[:, :, None])
+        log_q_span[:, _forbidden_spans(a.shape[2], self.config.max_copy_len)] = ad.NEG_INF
+        return Tensor(vs.data[0] - z), Tensor(log_q_span)
 
     # -- persistence
 

@@ -303,7 +303,7 @@ def _gathered_scores(
     enc = model.encode_batch(bucket.x_ids, train, rng)
     states = model.forced_states(enc.summary, bucket.dec_in)
     ht = model.attend_batch(states, enc.contextual, train, rng)
-    vs, a, c, z = model.score_components(ht, enc.contextual)
+    vs, a, c, z = model.score_components(ht, model.span_projections(enc.contextual))
     gen_lq = ad.sub(
         ad.reshape(ad.take_last(vs, bucket.gen_ids[:, :, None]), (bsz, k_steps)), z
     )

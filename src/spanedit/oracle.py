@@ -4,9 +4,9 @@ Everything here is deliberately slow and simple: enumerate every action
 sequence that produces y, replay each one against the model step by step, and
 sum the probabilities.  The result must agree with the suffix-DP training
 objective to floating-point accuracy, and with the scores of an unpruned
-merging beam search.  The scoring route is also independent (full span score
-matrix with one joint softmax, versus the factored cumulative normalizer used
-in training), so agreement checks both the enumeration and the numerics.
+merging beam search.  It shares the model's encoder, decoder states, attention
+and vocab scores, but normalizes its own full [n, n] span matrix by one joint
+softmax, so agreement also checks the model's factored normalizer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Vocab
-from .model import Action, Gen, SpanCopyModel, action_len
+from .model import Action, EncoderOutputs, Gen, SpanCopyModel, action_len
 from .objective import correct_actions, match_table
 
 MAX_SIDE = 12
@@ -55,6 +55,22 @@ def enumerate_action_sequences(
     return out
 
 
+def full_matrix_distribution(model: SpanCopyModel, ht: ad.Tensor, enc: EncoderOutputs):
+    """(log_q_vocab [R, V], log_q_span [R, n, n]) of attended states ht [1, R, d]
+    against their batch-of-one encoding: vocab scores and the whole span score
+    matrix (cell (i, j-1) is Copy(i, j), -inf if no action) under one softmax."""
+    p, h, ctx = model.params, ht.data[0], enc.contextual.data[0]
+    r, n, v = h.shape[0], ctx.shape[0], model.config.vocab_size
+    start, end = (h @ (ctx @ p[w].data.T).T for w in ("span.W_start", "span.W_end"))  # [R, n]
+    length = np.arange(n) - np.arange(n)[:, None] + 1  # of cell (i, j-1)
+    invalid = (length < 1) | (length > (model.config.max_copy_len or n))
+    span = np.where(invalid, -np.inf, start[:, :, None] + end[:, None, :])
+    flat = np.concatenate([model.vocab_scores(ht).data[0], span.reshape(r, n * n)], axis=1)
+    peak = flat.max(axis=1, keepdims=True)
+    logq = flat - (peak + np.log(np.exp(flat - peak).sum(axis=1, keepdims=True)))
+    return logq[:, :v], logq[:, v:].reshape(r, n, n)
+
+
 def teacher_forced_distributions(
     model: SpanCopyModel,
     vocab: Vocab,
@@ -62,14 +78,14 @@ def teacher_forced_distributions(
     y: Sequence[str],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(log_q_vocab [V], log_q_span [n, n]) at every position k = 0..len(y),
-    fed the gold prefix.  Computed one step at a time on single rows."""
+    fed the gold prefix, one `full_matrix_distribution` step at a time."""
     with ad.no_grad():
-        enc = model.encode(vocab.ids(x))
+        enc = model.encode_batch(np.asarray([vocab.ids(x)]))
         hidden = model.initial_state(enc)
         dists = []
         for tid in vocab.ids(y) + [None]:
-            lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
-            dists.append((lqv.data[0], lqs.data[0]))
+            lqv, lqs = full_matrix_distribution(model, model.attend_states(hidden, enc), enc)
+            dists.append((lqv[0], lqs[0]))
             if tid is not None:
                 hidden = model.decoder_advance(hidden, [tid])
     return dists

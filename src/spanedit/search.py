@@ -51,7 +51,6 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import EOS, EOS_ID, UNK_ID, Vocab, validate_tokens
 from .model import Action, Copy, Gen, SpanCopyModel
 
@@ -232,12 +231,12 @@ def _grown(table: _ActionTable, rays: _Rays, parent: np.ndarray, action: np.ndar
     )
 
 
-def _expand(model, enc, rays: _Rays, grow: np.ndarray) -> _Pool:
+def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
     """The pool of one round: rays not in the `grow` mask (which holds at
     least one ray) wait."""
     active, waiting = grow.nonzero()[0], (~grow).nonzero()[0]
-    ht = model.attend_states(Tensor(rays.hidden[active]), enc)
-    lqv, lqs = model.action_scores_many(ht, enc)
+    ht = model.attend_states(rays.hidden[active], enc)
+    lqv, lqs = model.action_scores_many(ht, proj)
     flat = np.concatenate([lqv.data, lqs.data.reshape(active.size, -1)], axis=1)
     rows, acts = np.isfinite(flat).nonzero()
     parents = active[rows]
@@ -399,7 +398,8 @@ def _beam_search(
     events: list[MergeEvent] = []
     with ad.no_grad():
         x_ids = vocab.ids(x)
-        enc = model.encode(x_ids)
+        enc = model.encode_batch(np.asarray([x_ids]))
+        proj = model.span_projections(enc.contextual)
         table = _ActionTable(vocab, x, x_ids, model.config.vocab_size)
         rays = _Rays(
             log_prob=np.zeros(1),
@@ -425,7 +425,7 @@ def _beam_search(
                 grow = open_ & (rays.length <= max_len)
                 if not grow.any():
                     break
-            pool = _expand(model, enc, rays, grow)
+            pool = _expand(model, enc, proj, rays, grow)
             rays = _next_rays(model, table, rays, pool, beam_size, step, events)
         count = len(rays.tokens)
         if not merge and count > 1:

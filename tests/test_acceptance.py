@@ -271,18 +271,17 @@ def test_criterion_9_normalization_and_path_independence(capsys):
                 vocab, rng, embed_dim=4, enc_hidden=3, dec_hidden=5, seed=d
             )
             x = tuple(letters[i] for i in rng.integers(0, 4, size=n))
-            enc = model.encode(vocab.ids(x))
+            enc = model.encode_batch([vocab.ids(x)])
             hidden = model.initial_state(enc)
-            lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+            ht = model.attend_states(hidden, enc)
+            lqv, lqs = model.action_scores_many(ht, model.span_projections(enc.contextual))
             worst_defect = max(worst_defect, normalization_defect(lqv.data, lqs.data))
             # j single-row steps versus row j of the teacher-forced states
             ids = vocab.ids(x)
             j = int(rng.integers(1, n + 1))
             for tok in ids[:j]:
                 hidden = model.decoder_advance(hidden, [tok])
-            forced = model.forced_states(
-                ad.reshape(enc.summary, (1, -1)), np.asarray([[se.START_ID] + ids[:j]])
-            )
+            forced = model.forced_states(enc.summary, np.asarray([[se.START_ID] + ids[:j]]))
             if not np.array_equal(hidden[0], forced.data[0, j]):
                 paths_equal = False
             draws += 1

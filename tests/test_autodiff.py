@@ -54,6 +54,31 @@ def test_logsumexp_handles_neg_inf():
     assert np.allclose(x.grad_array(), [0.0, 1.0, 0.0])
 
 
+def _logsumexp_reference(x, axis):
+    """The unconditional formula: both np.where passes always run."""
+    m = np.max(x, axis=axis, keepdims=True)
+    m_safe = np.where(np.isneginf(m), 0.0, m)
+    with np.errstate(divide="ignore"):
+        out = m_safe + np.log(np.sum(np.exp(x - m_safe), axis=axis, keepdims=True))
+    return np.where(np.isneginf(m), ad.NEG_INF, out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("empty_slice", [False, True])
+def test_logsumexp_keepdims_bitwise_equal_to_reference(rng, dtype, empty_slice):
+    x = rng.normal(scale=5.0, size=(4, 5, 6)).astype(dtype)
+    # a third of the entries masked, never a whole slice along any axis
+    x[np.indices(x.shape).sum(axis=0) % 3 == 0] = ad.NEG_INF
+    for axis in (0, 1, -1):
+        y = x.copy()
+        if empty_slice:
+            np.moveaxis(y, axis, -1)[1, 2] = ad.NEG_INF
+        got, want = ad._logsumexp_keepdims(y, axis), _logsumexp_reference(y, axis)
+        assert np.isneginf(got).any() == empty_slice
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
 def test_log_softmax_normalizes():
     rng = np.random.default_rng(1)
     x = t(rng.normal(size=(4, 7)))
@@ -417,6 +442,22 @@ def test_backward_accumulates_across_reuse():
     y = ad.add(ad.mul(x, x), ad.mul(3.0, x))
     ad.backward(y)
     assert x.grad_array() == pytest.approx(7.0)
+
+
+def test_first_gradient_is_copied_not_shared():
+    # add hands one g to both parents; a then accumulates more (from c,
+    # created before the add, so its backward runs after), which must not
+    # leak into b's gradient
+    a, b = t([1.0, 2.0]), t([3.0, 4.0])
+    c = ad.mul(a, 5.0)
+    loss = ad.reduce_sum(ad.add(ad.add(a, b), c))
+    ad.backward(loss)
+    assert np.array_equal(a.grad, [6.0, 6.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    # the stored gradient takes the tensor's dtype
+    w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    ad.backward(ad.reduce_sum(ad.mul(w, np.full(3, 2.0))))
+    assert w.grad.dtype == np.float32
 
 
 def test_zero_grad():

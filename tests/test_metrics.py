@@ -146,6 +146,13 @@ def test_eval_report_shape(trained_insert):
     assert "insert" in blob["per_task"]
 
 
+def test_evaluate_refuses_no_examples(trained_insert):
+    # a mean over no examples is undefined, not an exact match of 0
+    model, vocab, _, _ = trained_insert
+    with pytest.raises(ValueError, match="no examples"):
+        se.evaluate(model, vocab, [], beam_size=4, k=4)
+
+
 def test_eval_on_gold_candidates_is_perfect():
     # metrics level: if the decoder always returned the gold output the
     # aggregate accuracy must be 1

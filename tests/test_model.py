@@ -16,19 +16,20 @@ from conftest import normalization_defect, random_params_model, tiny_model, tiny
 
 def scores_for(model, vocab, x, consumed=()):
     """(log_q_vocab [V], log_q_span [n, n]) after consuming `consumed`."""
-    enc = model.encode(vocab.ids(x))
+    enc = model.encode_batch([vocab.ids(x)])
     hidden = model.initial_state(enc)
     for tid in consumed:
         hidden = model.decoder_advance(hidden, [tid])
-    lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+    ht = model.attend_states(hidden, enc)
+    lqv, lqs = model.action_scores_many(ht, model.span_projections(enc.contextual))
     return lqv.data[0], lqs.data[0]
 
 
 def attention_weights(model, hidden, enc):
-    """Attention weights [R, n] of rows hidden [R, d], computed the way
-    attend_states computes them."""
+    """Attention weights [R, n] of rows hidden [R, d] against a batch-of-one
+    encoding, computed the way attend_batch computes them."""
     hp = ad.matmul(hidden, model.params["attn.W_a"])
-    scores = ad.matmul(hp, enc.contextual, transpose_b=True)
+    scores = ad.matmul(hp, enc.contextual.data[0], transpose_b=True)
     return np.exp(ad.log_softmax(scores, axis=-1).data)
 
 
@@ -84,23 +85,23 @@ def test_untied_output_projection():
 def test_encode_shapes():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab)
-    enc = model.encode(vocab.ids(letters[:4]))
-    assert enc.contextual.data.shape == (4, model.config.ctx_dim)
-    assert enc.summary.data.shape == (model.config.dec_hidden,)
+    enc = model.encode_batch([vocab.ids(letters[:4])])
+    assert enc.contextual.data.shape == (1, 4, model.config.ctx_dim)
+    assert enc.summary.data.shape == (1, model.config.dec_hidden)
 
 
 def test_encode_rejects_empty():
     vocab, _ = tiny_vocab()
     model = tiny_model(vocab)
     with pytest.raises(se.ModelError):
-        model.encode(())
+        model.encode_batch(np.zeros((1, 0), dtype=np.int64))
 
 
 def test_encode_deterministic_in_eval():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab, dropout=0.5)
-    a = model.encode(vocab.ids(letters[:5])).contextual.data
-    b = model.encode(vocab.ids(letters[:5])).contextual.data
+    a = model.encode_batch([vocab.ids(letters[:5])]).contextual.data
+    b = model.encode_batch([vocab.ids(letters[:5])]).contextual.data
     assert np.array_equal(a, b)
 
 
@@ -164,7 +165,7 @@ def test_pad_and_start_have_zero_probability():
 def test_attention_single_position_weight_one():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab)
-    enc = model.encode(vocab.ids((letters[0],)))
+    enc = model.encode_batch([vocab.ids((letters[0],))])
     w = attention_weights(model, model.initial_state(enc), enc)
     assert w.shape == (1, 1)
     assert w[0, 0] == 1.0
@@ -173,16 +174,16 @@ def test_attention_single_position_weight_one():
 def test_attention_weights_normalize(rng):
     vocab, letters = tiny_vocab()
     model = random_params_model(vocab, rng)
-    enc = model.encode(vocab.ids(letters[:5]))
+    enc = model.encode_batch([vocab.ids(letters[:5])])
     hidden = model.initial_state(enc)
     w = attention_weights(model, hidden, enc)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     assert (w >= 0).all()
     # attend_states pools the encoder states with these weights
     p = model.params
-    mixed = np.concatenate([w @ enc.contextual.data, hidden], axis=1)
+    mixed = np.concatenate([w @ enc.contextual.data[0], hidden], axis=1)
     want = np.tanh(mixed @ p["attn.W_c"].data.T + p["attn.b_c"].data)
-    assert np.allclose(model.attend_states(hidden, enc).data, want, rtol=0, atol=1e-12)
+    assert np.allclose(model.attend_states(hidden, enc).data[0], want, rtol=0, atol=1e-12)
 
 
 def test_encoder_equals_two_single_direction_runs(rng):
@@ -215,14 +216,12 @@ def test_decoder_state_path_independent(rng):
     vocab, letters = tiny_vocab()
     model = random_params_model(vocab, rng)
     x = tuple(letters[:4])
-    enc = model.encode(vocab.ids(x))
+    enc = model.encode_batch([vocab.ids(x)])
     ids = vocab.ids(x)
 
     # single-row steps versus the teacher-forced training route: slot j of
     # forced_states has consumed START plus j tokens
-    forced = model.forced_states(
-        ad.reshape(enc.summary, (1, -1)), np.asarray([[START_ID] + ids])
-    ).data[0]
+    forced = model.forced_states(enc.summary, np.asarray([[START_ID] + ids])).data[0]
     hidden = model.initial_state(enc)
     assert np.array_equal(hidden[0], forced[0])
     for j, tok in enumerate(ids, start=1):
@@ -245,8 +244,8 @@ def test_trained_model_sensitive_to_permutation(trained_insert):
     i = next(i for i in range(len(x) - 1) if x[i] != x[i + 1])
     swapped = list(x)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    a = model.encode(vocab.ids(x)).contextual.data
-    b = model.encode(vocab.ids(swapped)).contextual.data
+    a = model.encode_batch([vocab.ids(x)]).contextual.data
+    b = model.encode_batch([vocab.ids(swapped)]).contextual.data
     assert not np.allclose(a, b)
 
 

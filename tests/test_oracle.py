@@ -11,6 +11,7 @@ from spanedit.oracle import (
     action_sequence_count,
     enumerate_action_sequences,
     exact_likelihood,
+    full_matrix_distribution,
     sequence_log_prob,
     teacher_forced_distributions,
 )
@@ -98,3 +99,33 @@ def test_teacher_forced_distributions_are_normalized(rng):
     y = (letters[0], letters[4], letters[2])
     for dist in teacher_forced_distributions(model, vocab, x, y):
         assert normalization_defect(*dist) <= 1e-6
+
+
+@pytest.mark.parametrize("tie_embeddings", [True, False])
+@pytest.mark.parametrize("max_copy_len", [None, 1])
+@pytest.mark.parametrize("precision, tol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_decode_scores_match_full_matrix_softmax(tie_embeddings, max_copy_len, precision, tol):
+    # the model's factored normalizer against the oracle's materialized
+    # [V + n^2] joint softmax, on the same attended states.  In float32 the
+    # two round apart by a few ulps of log-probs up to ~11 in magnitude: at
+    # most 1.2e-6 over 320 such draws
+    vocab, letters = tiny_vocab()
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        model = random_params_model(
+            vocab, rng, precision=precision, max_copy_len=max_copy_len,
+            tie_embeddings=tie_embeddings,
+        )
+        x = tuple(letters[i] for i in rng.integers(0, len(letters), size=n))
+        with se.no_grad():
+            enc = model.encode_batch([vocab.ids(x)])
+            hidden = rng.uniform(-1, 1, size=(3, model.config.dec_hidden)).astype(model.config.dtype)
+            ht = model.attend_states(hidden, enc)
+            lqv, lqs = model.action_scores_many(ht, model.span_projections(enc.contextual))
+        want_v, want_s = full_matrix_distribution(model, ht, enc)
+        for got, want in ((lqv.data, want_v), (lqs.data, want_s)):
+            assert got.dtype == want.dtype == model.config.dtype
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            assert np.array_equal(got[~np.isfinite(got)], want[~np.isfinite(want)])
+            finite = np.isfinite(want)
+            assert np.abs(got[finite] - want[finite]).max() <= tol

@@ -215,9 +215,9 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     n, v = len(x), model.config.vocab_size
     events = []
 
-    def successors(enc, active):
+    def successors(enc, proj, active):
         hidden = np.concatenate([r[2] for r in active])
-        lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), enc)
+        lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), proj)
         flat = np.concatenate([lqv.data, lqs.data.reshape(len(active), -1)], axis=1)
         out = []
         for (toks, lp, state, _, _, path), row in zip(active, flat):
@@ -252,7 +252,8 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
             ray[3] = ()
 
     with se.no_grad():
-        enc = model.encode(vocab.ids(x))
+        enc = model.encode_batch([vocab.ids(x)])
+        proj = model.span_projections(enc.contextual)
         rays = [[(), 0.0, model.initial_state(enc), (), False, ()]]
         frontier = 0
         while True:
@@ -267,7 +268,7 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
                 active = [r for r in rays if not r[4] and len(r[0]) <= max_len]
                 if not active:
                     break
-            pool = [r for r in rays if not any(r is a for a in active)] + successors(enc, active)
+            pool = [r for r in rays if not any(r is a for a in active)] + successors(enc, proj, active)
             if merge:
                 pool = merged(pool, frontier - 1)
             pool.sort(key=lambda r: (-r[1], r[0]) + (() if merge else (r[5],)))

@@ -1,17 +1,24 @@
-"""The benchmark tracer's hooks name functions that exist in spanedit.
+"""The benchmark tracer's hooks name functions that exist in spanedit, and
+read what those functions return.
 
 `benchmarks/tracing.py` wraps spanedit functions by module, class and
 attribute name, and reports a metric whose hook does not resolve as
 unmeasured instead of failing.  A rename in spanedit would therefore turn
-per-layer metrics into `unmeasured` without any error; this test reads the
-tracer's hook tables and fails instead.
+per-layer metrics into `unmeasured` without any error; these tests read the
+tracer's hook tables, and run one traced decode, and fail instead.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import spanedit as se
 import spanedit.autodiff  # noqa: F401  (the tensor counter hook reads it)
+from spanedit.corpus import RESERVED_SURFACES
+
+from conftest import random_params_model
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -35,3 +42,26 @@ def test_tracing_hook_targets_resolve():
             missing.append(f"{module}.{cls + '.' if cls else ''}{attr} ({name})")
     assert not missing, f"tracer hooks that no longer resolve: {missing}"
     assert tracing._tensor_count() is not None
+
+
+def test_tracer_counts_one_beam_decode():
+    # the tracer reads action_scores_many's (log_q_vocab, log_q_span) pair:
+    # its row count, and its finite entries as the successors
+    tracing = load_tracing()
+    vocab = se.Vocab(list(RESERVED_SURFACES) + list("abcdef"))
+    model = random_params_model(vocab, np.random.default_rng(4))
+    x = ("a", "b", "c", "a")
+    plain = se.beam_decode(model, vocab, x, beam_size=5, max_len=6)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = se.beam_decode(model, vocab, x, beam_size=5, max_len=6)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    values, unmeasured = tracer.layer_metrics(wall_s=1.0)
+    assert unmeasured == []
+    rows = values["model.action_scores_rows_per_decode"]
+    assert rows > 0
+    v, n = vocab.size, len(x)  # PAD and START are never generated
+    assert values["search.successors_per_decode"] == rows * (v - 2 + n * (n + 1) // 2)
