@@ -3,9 +3,10 @@
 Minimal op set sized for a recurrent encoder-decoder with a log-space
 dynamic program on top: matmuls, a GRU sequence op (one graph node for a
 whole time loop, with a BPTT backward), the marginal likelihood's suffix DP
-(`marginal_dp`, one graph node whose backward is the outside pass), gathers
-with scatter-add backward, and overflow-safe log-space reductions that treat
-IEEE -inf as "masked out" (zero gradient flows through masked entries).
+(`marginal_dp`, one graph node over an array of (log-prob, hop) edges per
+position, whose backward is the outside pass), gathers with scatter-add
+backward, and overflow-safe log-space reductions that treat IEEE -inf as
+"masked out" (zero gradient flows through masked entries).
 
 The GRU step kernel `gru_cell` works on arrays with the three gates stacked
 in z, r, n order and D directions stacked on a leading axis, so a step is
@@ -610,59 +611,54 @@ def gru_sequence(x: Tensor, h0: Tensor, weights: Sequence[tuple[Tensor, Tensor, 
 # Marginal suffix DP
 
 
-def marginal_dp(gen_lq: Tensor, copy_lq: Tensor, rel: np.ndarray) -> Tensor:
+def marginal_dp(lq: Tensor, hop: np.ndarray) -> Tensor:
     """The marginal likelihood's suffix DP as one graph node -> T[0] [B].
 
-    gen_lq [B, K] and copy_lq [B, K, C] hold the log probabilities of the
-    correct Gen and copy actions at positions k = 0..K-1, -inf where a slot
-    holds none; rel [B, K, C] is each copy's length - 1.  With T[K] = 0,
+    Position k = 0..K-1 has E edges: lq [B, K, E] holds their log
+    probabilities (-inf where an edge is absent) and hop [B, K, E] >= 1 the
+    number of tokens each advances, so edge e leads from k to k + hop[k, e]
+    <= K.  With T[K] = 0,
 
-        T[k] = logsumexp([gen_lq[k] + T[k+1], copy_lq[k, c] + T[k+1+rel[k, c]]])
+        T[k] = logsumexp_e(lq[k, e] + T[k + hop[k, e]])
 
     The forward runs that recurrence for k = K-1..0, each step the
     max-shifted log-sum-exp of `logsumexp` over the same row, so it rounds
     exactly as the per-position composition of tape ops does.
 
     The backward is the outside pass, which is what reverse mode makes of
-    the inside pass: the edge from k to j = k + length carries the weight
-    exp(term - T[k]) (zero where the term is -inf), the adjoint of T flows
-    forward along the edges, adj[j] += adj[k] * w, and each action's
-    gradient is adj[k] * w.  The edges are scattered once into a dense
-    [B, K, K+1] transition array, so the loop over k is one multiply-add.
+    the inside pass: an edge from k carries the weight exp(term - T[k])
+    (zero where the term is -inf), the adjoint of T flows forward along the
+    edges, adj[k + hop] += adj[k] * w, and each edge's gradient is
+    adj[k] * w.  The edges are scattered once into a dense [B, K, K+1]
+    transition array, so the loop over k is one multiply-add.
     """
-    gd, cd = gen_lq.data, copy_lq.data
-    bsz, k_steps, cmax = cd.shape
-    # dest[b, k, c]: the suffix position copy slot c at k continues from
-    dest = np.arange(1, k_steps + 1)[:, None] + np.asarray(rel, dtype=np.int64)
+    d = lq.data
+    bsz, k_steps, _ = d.shape
+    hop = np.asarray(hop, dtype=np.int64)
+    dest = np.arange(k_steps)[:, None] + hop  # [B, K, E]: where each edge leads
+    if hop.size and (hop.min() < 1 or dest.max() > k_steps):
+        raise ValueError(f"every hop must be >= 1 and end at or before position {k_steps}")
     rows = np.arange(bsz)[:, None]
-    suffix = np.zeros((bsz, k_steps + 1), dtype=gd.dtype)  # T, with T[K] = 0
-    terms = np.empty((bsz, 1 + cmax), dtype=gd.dtype)
+    suffix = np.zeros((bsz, k_steps + 1), dtype=d.dtype)  # T, with T[K] = 0
     for k in range(k_steps - 1, -1, -1):
-        terms[:, 0] = gd[:, k] + suffix[:, k + 1]
-        terms[:, 1:] = cd[:, k] + suffix[rows, dest[:, k]]
-        suffix[:, k] = _logsumexp_keepdims(terms, -1)[:, 0]
+        suffix[:, k] = _logsumexp_keepdims(d[:, k] + suffix[rows, dest[:, k]], -1)[:, 0]
 
     def back(g):
-        top = suffix[:, :-1]
-        gen_t = gd + suffix[:, 1:]
-        copy_t = cd + suffix[rows[:, :, None], dest]
+        terms = d + suffix[rows[:, :, None], dest]
         with np.errstate(invalid="ignore"):
-            w_gen = np.where(np.isneginf(gen_t), 0.0, np.exp(gen_t - top))
-            w_copy = np.where(np.isneginf(copy_t), 0.0, np.exp(copy_t - top[..., None]))
+            w = np.where(np.isneginf(terms), 0.0, np.exp(terms - suffix[:, :-1, None]))
         # trans[b, k, j]: the summed weight of every edge from k to j
         width = k_steps + 1
         flat = np.arange(bsz * k_steps).reshape(bsz, k_steps, 1) * width + dest
-        trans = np.bincount(flat.reshape(-1), w_copy.reshape(-1), bsz * k_steps * width)
-        trans = trans.reshape(bsz, k_steps, width).astype(gd.dtype, copy=False)
-        trans[:, np.arange(k_steps), np.arange(1, width)] += w_gen
+        trans = np.bincount(flat.reshape(-1), w.reshape(-1), bsz * k_steps * width)
+        trans = trans.reshape(bsz, k_steps, width).astype(d.dtype, copy=False)
         adj = np.zeros_like(suffix)
         adj[:, 0] = g
         for k in range(k_steps - 1):  # adj[k] is complete once k is reached
             adj[:, k + 1 :] += adj[:, k, None] * trans[:, k, k + 1 :]
-        _acc(gen_lq, adj[:, :-1] * w_gen)
-        _acc(copy_lq, adj[:, :-1, None] * w_copy)
+        _acc(lq, adj[:, :-1, None] * w)
 
-    return _make(suffix[:, 0].copy(), (gen_lq, copy_lq), back)
+    return _make(suffix[:, 0].copy(), (lq,), back)
 
 
 # ---------------------------------------------------------------------------

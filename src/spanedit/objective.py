@@ -14,18 +14,22 @@ marginal log likelihood.
 
 Teacher-forced states depend only on y[:k], never on which actions produced
 it, so encoder, decoder, attention, and score pieces for all positions run as
-one batched pass that gathers every correct action's log probability.  The
-DP over those is one graph node, `autodiff.marginal_dp`: its forward runs
-the recurrence on arrays and its backward is the outside pass, so the tape
-does not grow with len(y).  The per-position normalizer uses the factored
-span scores with a cumulative log-sum-exp, so a training step costs
-O(len(x) * len(y)) like the rest of the pipeline, not O(len(x)^2) per
-position.
+one batched pass that gathers every correct action's log probability into
+one edge array [B, K, 1 + C]: edge 0 of position k is its Gen (one token),
+edges 1..C its copy slots (as many tokens as the span is long), and an
+absent edge holds -inf.  The DP over those edges is one graph node,
+`autodiff.marginal_dp`, which reads each edge's hop (its length in tokens):
+its forward runs the recurrence on arrays and its backward is the outside
+pass, so the tape does not grow with len(y).  The per-position normalizer
+uses the factored span scores with a cumulative log-sum-exp, so a training
+step costs O(len(x) * len(y)) like the rest of the pipeline, not
+O(len(x)^2) per position.
 
-Two cheaper objectives are kept for comparison: `multi_hot` scores each
-position's correct-action set independently (no continuation term), and
-`longest_copy` supervises the single path that always takes the longest
-matching copy.  Both reuse the same gathered scores.
+Two cheaper objectives are kept for comparison, each one reduction of the
+same edge array: `multi_hot` scores each position's correct-action set
+independently (a log-sum-exp over its edges, no continuation term), and
+`longest_copy` sums the edges of the single path that always takes the
+longest matching copy.
 
 Batches group examples of identical (len(x), len(y)) shape, so no padding or
 length masks ever enter the math.  A bucket's gather indices are built as
@@ -142,19 +146,19 @@ def correct_actions(
 class Bucket:
     """Gather indices for a batch of same-shape (x, y) pairs.
 
-    K = m + 1 teacher-forced positions.  gen_ids/gen_ok give the correct
-    vocab action per position (slot m is always EOS).  copy_* flatten each
+    K = m + 1 teacher-forced positions, each with 1 + C edges: edge 0 is the
+    Gen, edges 1..C the copy slots.  gen_ids/gen_ok give the correct vocab
+    action per position (position m is always EOS).  copy_* flatten each
     position's correct copies into C slots (C is the bucket's largest count,
     at least 1), ordered by start and then by length, unused slots zero:
-    start index, end-1 index and a validity mask; copy_jm1 - copy_i =
-    length - 1 is the continuation offset into the DP suffix.  lc_gen/lc_copy
-    mark the single longest-copy path's choices: at each position it visits,
-    the longest copy (ties to the earliest start), else the Gen.
+    start index, end-1 index and a validity mask; a copy's hop is
+    copy_jm1 - copy_i + 1 tokens, a Gen's is 1.  `longest` marks, in edge
+    order, the single longest-copy path's choices: at each position it
+    visits, the longest copy (ties to the earliest start), else the Gen.
     """
 
     n: int
     m: int
-    pairs: list[tuple[tuple[str, ...], tuple[str, ...]]]
     x_ids: np.ndarray  # [B, n] int64
     dec_in: np.ndarray  # [B, K] int64, column 0 is START
     gen_ids: np.ndarray  # [B, K] int64
@@ -162,18 +166,16 @@ class Bucket:
     copy_i: np.ndarray  # [B, K, C] int64
     copy_jm1: np.ndarray  # [B, K, C] int64
     copy_mask: np.ndarray  # [B, K, C] bool
-    lc_gen: np.ndarray  # [B, K] bool
-    lc_copy: np.ndarray  # [B, K, C] bool
+    longest: np.ndarray  # [B, K, 1 + C] bool
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.x_ids)
 
     def take(self, rows: np.ndarray) -> "Bucket":
         return Bucket(
             n=self.n,
             m=self.m,
-            pairs=[self.pairs[r] for r in rows],
             x_ids=self.x_ids[rows],
             dec_in=self.dec_in[rows],
             gen_ids=self.gen_ids[rows],
@@ -181,8 +183,7 @@ class Bucket:
             copy_i=self.copy_i[rows],
             copy_jm1=self.copy_jm1[rows],
             copy_mask=self.copy_mask[rows],
-            lc_gen=self.lc_gen[rows],
-            lc_copy=self.lc_copy[rows],
+            longest=self.longest[rows],
         )
 
 
@@ -195,7 +196,6 @@ def build_bucket(
     at position k from start i have lengths 1..min(table[i, k], cap)."""
     if not pairs:
         raise ValueError("bucket needs at least one pair")
-    pairs = [(tuple(x), tuple(y)) for x, y in pairs]
     n, m = len(pairs[0][0]), len(pairs[0][1])
     for x, y in pairs:
         if len(x) != n or len(y) != m:
@@ -245,29 +245,24 @@ def build_bucket(
     gen_ids[:, :m] = np.where(gen_ok[:, :m], y_ids, 0)
 
     # Longest-copy path: the longest matching copy, ties to the earliest
-    # start (argmax takes the first); a position with no copy takes its Gen.
+    # start (argmax takes the first); a position with no copy (position m
+    # included) takes its Gen, edge 0.  Copy slot s is edge 1 + s, so the
+    # longest copy from a start is edge (its length-1 slot) + length, which
+    # is 0 where no start has a copy.
     best_len = lengths.max(axis=2, initial=0)
-    best_slot = np.zeros_like(best_len)
+    best_edge = np.zeros_like(best_len)
     if n:
         first_slot = np.cumsum(lengths, axis=2) - lengths  # each start's length-1 copy
         best_i = lengths.argmax(axis=2)[..., None]
-        best_slot = np.take_along_axis(first_slot, best_i, axis=2)[..., 0] + best_len - 1
-    lc_gen = np.zeros((bsz, k_steps), dtype=bool)
-    lc_copy = np.zeros((bsz, k_steps, cmax), dtype=bool)
+        best_edge = np.take_along_axis(first_slot, best_i, axis=2)[..., 0] + best_len
+    longest = np.zeros((bsz, k_steps, 1 + cmax), dtype=bool)
     at = np.zeros(bsz, dtype=np.int64)
     rows = np.arange(bsz)
-    while (live := at < m).any():
+    while (live := at <= m).any():
         b, k = rows[live], at[live]
-        step = best_len[b, k]
-        copy = step > 0
-        lc_copy[b[copy], k[copy], best_slot[b[copy], k[copy]]] = True
-        lc_gen[b[~copy], k[~copy]] = True
-        at[live] = k + np.maximum(step, 1)
-    lc_gen[:, m] = True
-    return Bucket(
-        n, m, pairs, x_ids, dec_in, gen_ids, gen_ok,
-        copy_i, copy_jm1, copy_mask, lc_gen, lc_copy,
-    )
+        longest[b, k, best_edge[b, k]] = True
+        at[live] = k + np.maximum(best_len[b, k], 1)
+    return Bucket(n, m, x_ids, dec_in, gen_ids, gen_ok, copy_i, copy_jm1, copy_mask, longest)
 
 
 def build_buckets(
@@ -294,40 +289,22 @@ def _gathered_scores(
     bucket: Bucket,
     train: bool,
     rng: np.random.Generator | None,
-) -> tuple[Tensor, Tensor]:
-    """Log action probabilities of every correct action, batched.
-
-    Returns (gen_lq [B, K], copy_lq [B, K, C]); invalid slots hold -inf and
-    carry no gradient."""
+) -> Tensor:
+    """Log probabilities of every correct action as the edge array
+    [B, K, 1 + C] (edge 0 the Gen, edges 1..C the copy slots), batched;
+    absent edges hold -inf and carry no gradient."""
     bsz, k_steps = bucket.gen_ids.shape
     enc = model.encode_batch(bucket.x_ids, train, rng)
     states = model.forced_states(enc.summary, bucket.dec_in)
     ht = model.attend_batch(states, enc.contextual, train, rng)
     vs, a, c, z = model.score_components(ht, model.span_projections(enc.contextual))
-    gen_lq = ad.sub(
-        ad.reshape(ad.take_last(vs, bucket.gen_ids[:, :, None]), (bsz, k_steps)), z
-    )
-    copy_lq = ad.sub(
+    scores = ad.concat([
+        ad.take_last(vs, bucket.gen_ids[:, :, None]),
         ad.add(ad.take_last(a, bucket.copy_i), ad.take_last(c, bucket.copy_jm1)),
-        ad.reshape(z, (bsz, k_steps, 1)),
-    )
-    gen_lq = ad.masked_fill(gen_lq, ~bucket.gen_ok, ad.NEG_INF)
-    copy_lq = ad.masked_fill(copy_lq, ~bucket.copy_mask, ad.NEG_INF)
-    return gen_lq, copy_lq
-
-
-def _multi_hot(gen_lq: Tensor, copy_lq: Tensor) -> Tensor:
-    bsz, k_steps = gen_lq.shape
-    terms = ad.concat([ad.reshape(gen_lq, (bsz, k_steps, 1)), copy_lq], 2)
-    return ad.reduce_sum(ad.logsumexp(terms, axis=-1), axis=1)
-
-
-def _longest_copy(gen_lq: Tensor, copy_lq: Tensor, bucket: Bucket) -> Tensor:
-    gen_part = ad.masked_fill(gen_lq, ~bucket.lc_gen, 0.0)
-    copy_part = ad.masked_fill(copy_lq, ~bucket.lc_copy, 0.0)
-    return ad.add(
-        ad.reduce_sum(gen_part, axis=1), ad.reduce_sum(copy_part, axis=(1, 2))
-    )
+    ], 2)
+    lq = ad.sub(scores, ad.reshape(z, (bsz, k_steps, 1)))
+    ok = np.concatenate([bucket.gen_ok[:, :, None], bucket.copy_mask], axis=2)
+    return ad.masked_fill(lq, ~ok, ad.NEG_INF)
 
 
 def bucket_log_scores(
@@ -340,12 +317,14 @@ def bucket_log_scores(
     """Per-example log score [B] under the chosen objective (higher better)."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    gen_lq, copy_lq = _gathered_scores(model, bucket, train, rng)
+    lq = _gathered_scores(model, bucket, train, rng)
     if objective == "marginal":
-        return ad.marginal_dp(gen_lq, copy_lq, bucket.copy_jm1 - bucket.copy_i)
+        gen_hop = np.ones(bucket.gen_ids.shape + (1,), dtype=np.int64)
+        copy_hop = bucket.copy_jm1 - bucket.copy_i + 1
+        return ad.marginal_dp(lq, np.concatenate([gen_hop, copy_hop], axis=2))
     if objective == "multi_hot":
-        return _multi_hot(gen_lq, copy_lq)
-    return _longest_copy(gen_lq, copy_lq, bucket)
+        return ad.reduce_sum(ad.logsumexp(lq, axis=-1), axis=1)
+    return ad.reduce_sum(ad.masked_fill(lq, ~bucket.longest, 0.0), axis=(1, 2))
 
 
 def marginal_log_likelihood(
@@ -378,6 +357,8 @@ class Adam:
             raise ValueError(f"lr must be >= 0, got {lr}")
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
+        if clip_norm is not None and not clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0 or None, got {clip_norm}")
         self.params = params
         self.lr = lr
         self.b1, self.b2 = betas
@@ -434,6 +415,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 

@@ -19,7 +19,9 @@ ray per round, no waiting, no merging) that only groups equal candidates
 after search; it exists as a baseline and is measurably worse.  Greedy
 decoding is the merge-at-end beam at width 1, and its trace is the kept
 ray's action path.  All three share one length budget: an unfinished ray of
-at most max_len tokens takes one more action.
+at most max_len >= 0 tokens takes one more action.  Every action but EOS
+emits at least one token, so a search ends within max_len + 1 rounds; one
+that does not has scored a zero-length action, and raises RuntimeError.
 
 All three run on one array core.  Every action has a flat index: Gen(t) is
 t and Copy(i, j) is V + i*n + j - 1, which is also the order actions are
@@ -395,6 +397,8 @@ def _beam_search(
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if max_len is None:
         max_len = default_max_len(len(x))
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     events: list[MergeEvent] = []
     with ad.no_grad():
         x_ids = vocab.ids(x)
@@ -410,7 +414,10 @@ def _beam_search(
             tokens=[()],
             paths=None if merge else [()],
         )
-        while True:
+        # Every grown ray gains a token or finishes, so after r rounds no
+        # unfinished ray is shorter than r: both modes stop by round
+        # max_len + 1.
+        for rounds in range(max_len + 2):
             open_ = ~rays.finished
             step = None
             if merge:
@@ -425,6 +432,10 @@ def _beam_search(
                 grow = open_ & (rays.length <= max_len)
                 if not grow.any():
                     break
+            if rounds > max_len:
+                raise RuntimeError(
+                    f"search did not end in {max_len + 1} rounds: an action of length 0 scored finite"
+                )
             pool = _expand(model, enc, proj, rays, grow)
             rays = _next_rays(model, table, rays, pool, beam_size, step, events)
         count = len(rays.tokens)

@@ -292,17 +292,16 @@ def test_gru_sequence_runs_one_or_two_directions(rng):
             ad.gru_sequence(p["x"], p["h0"], weights)
 
 
-def composed_marginal_dp(gen_lq, copy_lq, rel):
-    """The same suffix DP as about eight tape nodes per position; cols holds
-    [T[k+1], ..., T[K]] left to right and grows by one column a step."""
-    bsz, k_steps = gen_lq.shape
-    cmax = copy_lq.shape[-1]
-    cols = ad.Tensor(np.zeros((bsz, 1), dtype=gen_lq.dtype))
+def composed_marginal_dp(lq, hop):
+    """The same suffix DP as about six tape nodes per position; cols holds
+    [T[k+1], ..., T[K]] left to right and grows by one column a step, so
+    T[k + hop] is column hop - 1."""
+    bsz, k_steps, edges = lq.shape
+    cols = ad.Tensor(np.zeros((bsz, 1), dtype=lq.dtype))
     for k in range(k_steps - 1, -1, -1):
-        gen_term = ad.add(ad.narrow(gen_lq, 1, k, 1), ad.narrow(cols, 1, 0, 1))
-        copy_k = ad.reshape(ad.narrow(copy_lq, 1, k, 1), (bsz, cmax))
-        copy_term = ad.add(copy_k, ad.take_last(cols, rel[:, k, :]))
-        t_k = ad.logsumexp(ad.concat([gen_term, copy_term], 1), axis=-1, keepdims=True)
+        lq_k = ad.reshape(ad.narrow(lq, 1, k, 1), (bsz, edges))
+        terms = ad.add(lq_k, ad.take_last(cols, hop[:, k, :] - 1))
+        t_k = ad.logsumexp(terms, axis=-1, keepdims=True)
         cols = ad.concat([t_k, cols], 1)
     return ad.reshape(ad.narrow(cols, 1, 0, 1), (bsz,))
 
@@ -320,9 +319,10 @@ DP_CASES = (
 
 
 def dp_case(rng, case):
-    """Inputs of `marginal_dp` laid out as a bucket's are: position m = K-1
-    is a Gen alone (EOS), a copy at k < m has a length of at most m - k,
-    and a masked slot holds -inf with rel 0."""
+    """Inputs of `marginal_dp` laid out as a bucket's are: (lq, hop) with
+    the Gen as edge 0 (hop 1) and copy slots after it; position m = K-1 is
+    a Gen alone (EOS), a copy at k < m has a length of at most m - k, and a
+    masked slot holds -inf with hop 1."""
     bsz, k_steps, cmax = (2, 1, 1) if case == "empty_output" else (3, 7, 5)
     m = k_steps - 1
     room = np.maximum(m - np.arange(k_steps), 0)[None, :, None]  # longest copy at k
@@ -347,7 +347,9 @@ def dp_case(rng, case):
         gen_ok[0] = ok[0] = False
     gen[~gen_ok] = ad.NEG_INF
     copy[~ok] = ad.NEG_INF
-    return gen, copy, np.where(ok, length - 1, 0)
+    lq = np.concatenate([gen[..., None], copy], axis=2)
+    hop = np.concatenate([np.ones_like(length[..., :1]), np.where(ok, length, 1)], axis=2)
+    return lq, hop
 
 
 # Largest gradient gap allowed between the fused DP and the composition:
@@ -360,39 +362,46 @@ DP_GRAD_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 @pytest.mark.parametrize("case", DP_CASES)
 def test_marginal_dp_matches_per_position_composition(rng, case, dtype):
-    gen, copy, rel = dp_case(rng, case)
-    p = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in (("gen", gen), ("copy", copy))}
+    lq, hop = dp_case(rng, case)
+    p = ad.Tensor(lq.astype(dtype), requires_grad=True)
     # positive, so the loss stays -inf rather than nan on a dead row
-    probe = rng.uniform(0.5, 1.5, size=gen.shape[0]).astype(dtype)
+    probe = rng.uniform(0.5, 1.5, size=lq.shape[0]).astype(dtype)
     results = []
     for build in (ad.marginal_dp, composed_marginal_dp):
-        ad.zero_grad(p.values())
-        out = build(p["gen"], p["copy"], rel)
+        ad.zero_grad([p])
+        out = build(p, hop)
         ad.backward(ad.reduce_sum(ad.mul(out, probe)))
-        results.append((out.data, {k: v.grad_array().copy() for k, v in p.items()}))
-    (fused, fused_grads), (composed, composed_grads) = results
-    assert fused.shape == gen.shape[:1] and fused.dtype == dtype
+        results.append((out.data, p.grad_array().copy()))
+    (fused, fused_grad), (composed, composed_grad) = results
+    assert fused.shape == lq.shape[:1] and fused.dtype == dtype
     assert np.array_equal(fused, composed)  # bitwise, -inf included
-    scale = max(np.abs(g).max() for g in composed_grads.values())
-    tol = DP_GRAD_TOL[dtype] * (1.0 if dtype == np.float64 else scale)
-    for k in p:
-        assert fused_grads[k].dtype == dtype, k
-        assert np.isfinite(fused_grads[k]).all(), k
-        assert np.allclose(fused_grads[k], composed_grads[k], rtol=0, atol=tol), k
+    tol = DP_GRAD_TOL[dtype] * (1.0 if dtype == np.float64 else np.abs(composed_grad).max())
+    assert fused_grad.dtype == dtype
+    assert np.isfinite(fused_grad).all()
+    assert np.allclose(fused_grad, composed_grad, rtol=0, atol=tol)
     if case == "dead_row":
         assert np.isneginf(fused[0]) and np.isfinite(fused[1:]).all()
-        assert not fused_grads["gen"][0].any() and not fused_grads["copy"][0].any()
+        assert not fused_grad[0].any()
 
 
 def test_marginal_dp_gradcheck(rng):
-    gen, copy, rel = dp_case(rng, "dead_position")
-    params = {"gen": t(gen), "copy": t(copy)}
-    probe = rng.uniform(0.5, 1.5, size=gen.shape[0])
+    lq, hop = dp_case(rng, "dead_position")
+    params = {"lq": t(lq)}
+    probe = rng.uniform(0.5, 1.5, size=lq.shape[0])
 
     def f():
-        return ad.reduce_sum(ad.mul(ad.marginal_dp(params["gen"], params["copy"], rel), probe))
+        return ad.reduce_sum(ad.mul(ad.marginal_dp(params["lq"], hop), probe))
 
     assert ad.grad_check(f, params, eps=1e-6) < 1e-6
+
+
+def test_marginal_dp_rejects_hops_that_stall_or_overshoot(rng):
+    lq, hop = dp_case(rng, "random")
+    for k, bad in ((2, 0), (5, 3)):  # a self-loop; an edge past T[K] at K = 7
+        wrong = hop.copy()
+        wrong[0, k, 0] = bad
+        with pytest.raises(ValueError, match="hop"):
+            ad.marginal_dp(t(lq), wrong)
 
 
 def test_take_last_and_masked_fill_gradients(rng):

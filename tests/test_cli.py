@@ -172,6 +172,17 @@ def test_decode_rejects_reserved_input(trained_artifacts):
         assert out == ""
 
 
+def test_decode_rejects_negative_max_len(trained_artifacts):
+    model, vocab, _ = trained_artifacts
+    for decoder in ("greedy", "beam_merged", "beam_merge_at_end"):
+        code, out = run_cli(
+            "decode", "--model", str(model), "--vocab", str(vocab),
+            "--input", "a b c", "--decoder", decoder, "--max-len", "-1",
+        )
+        assert code == 3
+        assert out == ""
+
+
 def test_decode_rejects_checkpoint_missing_a_gate(trained_artifacts, tmp_path):
     model, vocab, _ = trained_artifacts
     doc = json.loads(model.read_text())
@@ -272,6 +283,14 @@ def test_exit_code_validation(tmp_path):
     code, _ = run_cli("train", "--data", str(bad), "--out", str(tmp_path / "m.json"),
                       "--epochs", "1")
     assert code == 3
+
+
+def test_train_rejects_nonpositive_clip_norm(corpus_dir, tmp_path):
+    out = tmp_path / "m.json"
+    code, _ = run_cli("train", "--data", str(corpus_dir), "--out", str(out),
+                      "--epochs", "1", "--clip-norm", "-1")
+    assert code == 3
+    assert not out.exists()
 
 
 def test_exit_code_validation_taskspec(tmp_path):

@@ -265,11 +265,12 @@ def path_actions(bucket, vocab, x, y):
     k = 0
     m = len(y)
     while k <= m:
-        if bucket.lc_gen[0, k]:
+        edge = int(np.argmax(bucket.longest[0, k]))
+        if edge == 0:
             out.append(se.Gen(int(bucket.gen_ids[0, k])))
             k += 1
         else:
-            c = int(np.argmax(bucket.lc_copy[0, k]))
+            c = edge - 1
             i = int(bucket.copy_i[0, k, c])
             length = int(bucket.copy_jm1[0, k, c]) - i + 1
             out.append(se.Copy(i, i + length))
@@ -328,9 +329,9 @@ def test_bucket_slots_equal_correct_actions(pairs, cap):
             want = se.correct_actions(x, y, vocab, k, cap)
             assert set(slots) == set(want)
             assert len(slots) == len(want)
-        path = [(int(k), se.Gen(int(bucket.gen_ids[b, k]))) for k in np.flatnonzero(bucket.lc_gen[b])]
-        for k, s in zip(*np.nonzero(bucket.lc_copy[b])):
-            i, jm1 = int(bucket.copy_i[b, k, s]), int(bucket.copy_jm1[b, k, s])
+        path = [(int(k), se.Gen(int(bucket.gen_ids[b, k]))) for k in np.flatnonzero(bucket.longest[b, :, 0])]
+        for k, e in zip(*np.nonzero(bucket.longest[b, :, 1:])):
+            i, jm1 = int(bucket.copy_i[b, k, e]), int(bucket.copy_jm1[b, k, e])
             path.append((int(k), se.Copy(i, jm1 + 1)))
         assert sorted(path, key=lambda step: step[0]) == longest_copy_reference(x, y, vocab, cap)
 
@@ -356,6 +357,19 @@ def test_adam_rejects_bad_hyperparams():
         se.TrainConfig(objective="nope")
     with pytest.raises(ValueError):
         se.TrainConfig(epochs=0)
+
+
+def test_clip_norm_must_be_positive():
+    # a negative clip would scale every step by a negative factor (gradient
+    # ascent), and a zero one would freeze training
+    vocab, _ = tiny_vocab()
+    model = random_params_model(vocab, np.random.default_rng(0))
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="clip_norm"):
+            se.Adam(model.params, clip_norm=bad)
+        with pytest.raises(ValueError, match="clip_norm"):
+            se.TrainConfig(clip_norm=bad)
+    assert se.Adam(model.params, clip_norm=None).clip_norm is None
 
 
 def test_zero_lr_leaves_parameters(insert_setup):

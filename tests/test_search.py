@@ -1,5 +1,6 @@
 """Greedy decoding and the ray-merging beam search."""
 
+import functools
 import math
 
 import numpy as np
@@ -346,6 +347,38 @@ def test_greedy_matches_width_one_reference(seed, x, max_len):
         for a in greedy.actions
     )
     assert flat + ((se.EOS_ID,) if finished else ()) == path
+
+
+DECODERS = {
+    "beam": functools.partial(se.beam_decode, beam_size=4),
+    "merge_at_end": functools.partial(se.beam_decode_merge_at_end, beam_size=4),
+    "greedy": se.greedy_decode,
+}
+
+
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS.keys())
+def test_negative_max_len_rejected(decoder):
+    model, vocab = small_model()
+    with pytest.raises(ValueError, match="max_len"):
+        decoder(model, vocab, ("a", "b"), max_len=-1)
+
+
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS.keys())
+def test_zero_length_action_raises_instead_of_looping(monkeypatch, decoder):
+    # a scoring bug that leaves the zero-length Copy(1, 1) finite (and
+    # certain) would keep the frontier in place forever; the round bound
+    # turns it into an error
+    model, vocab = small_model()
+    scores = se.SpanCopyModel.action_scores_many
+
+    def leaky(self, ht, proj):
+        lqv, lqs = scores(self, ht, proj)
+        lqs.data[:, 1, 0] = 0.0
+        return lqv, lqs
+
+    monkeypatch.setattr(se.SpanCopyModel, "action_scores_many", leaky)
+    with pytest.raises(RuntimeError, match="length 0"):
+        decoder(model, vocab, ("a", "b", "c"), max_len=3)
 
 
 def test_hash_collisions_take_exact_fallback(monkeypatch):
