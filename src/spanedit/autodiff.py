@@ -5,8 +5,9 @@ dynamic program on top: matmuls, a GRU sequence op (one graph node for a
 whole time loop, with a BPTT backward), the marginal likelihood's suffix DP
 (`marginal_dp`, one graph node over an array of (log-prob, hop) edges per
 position, whose backward is the outside pass), gathers with scatter-add
-backward, and overflow-safe log-space reductions that treat IEEE -inf as
-"masked out" (zero gradient flows through masked entries).
+backward, a softmax (attention's weights, one node), and overflow-safe
+log-space reductions that treat IEEE -inf as "masked out" (zero gradient
+flows through masked entries).
 
 The GRU step kernel `gru_cell` works on arrays with the three gates stacked
 in z, r, n order and D directions stacked on a leading axis, so a step is
@@ -317,16 +318,6 @@ def tanh(t: Tensor) -> Tensor:
     return _make(out, (t,), back)
 
 
-def exp(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    out = np.exp(t.data)
-
-    def back(g):
-        _acc(t, g * out)
-
-    return _make(out, (t,), back)
-
-
 def dropout(t: Tensor, rate: float, train: bool, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; exact identity when rate == 0 or train is False."""
     if not train or rate == 0.0:
@@ -445,20 +436,20 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Normalize log scores along `axis`.  Raises if a slice is entirely
-    -inf: that means no action is available, which is a caller bug."""
+def softmax(t: Tensor, axis: int = -1) -> Tensor:
+    """Normalize scores along `axis` into weights, with the max-shifted
+    arithmetic of exp(log_softmax(t)).  Raises if a slice is entirely -inf:
+    that means nothing is available to weigh, which is a caller bug."""
     t = as_tensor(t)
     m = np.max(t.data, axis=axis, keepdims=True)
     if np.any(np.isneginf(m)):
-        raise ValueError("log_softmax over a fully masked slice (no valid action)")
-    shifted = t.data - m
-    lse = m + np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    out = t.data - lse
+        raise ValueError("softmax over a fully masked slice (no valid entry)")
+    lse = m + np.log(np.sum(np.exp(t.data - m), axis=axis, keepdims=True))
+    out = np.exp(t.data - lse)
 
     def back(g):
-        s = np.sum(g, axis=axis, keepdims=True)
-        _acc(t, g - np.exp(out) * s)
+        gw = g * out
+        _acc(t, gw - out * np.sum(gw, axis=axis, keepdims=True))
 
     return _make(out, (t,), back)
 
@@ -760,11 +751,21 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: unsupported precision {precision!r}")
     wire = "<f4" if precision == "float32" else "<f8"
     target = np.float32 if precision == "float32" else np.float64
+    entries = doc.get("params", {})
+    if not isinstance(entries, dict):
+        raise CheckpointError(f"{path}: 'params' must be a mapping, got {type(entries).__name__}")
     params: dict[str, np.ndarray] = {}
-    for name, entry in doc.get("params", {}).items():
-        shape = tuple(entry["shape"])
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype=wire)
+    for name, entry in entries.items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("data"), str):
+            raise CheckpointError(f"{path}: param {name!r} needs a base64 string under 'data'")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise CheckpointError(f"{path}: param {name!r} shape {shape!r} is not a list of sizes")
+        shape = tuple(shape)
+        try:
+            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype=wire)
+        except ValueError as e:  # bad base64 padding, or a partial number
+            raise CheckpointError(f"{path}: param {name!r} data: {e}") from e
         expect = int(np.prod(shape)) if shape else 1
         if arr.size != expect:
             raise CheckpointError(f"{path}: param {name!r} payload size {arr.size} != shape {shape}")

@@ -1,7 +1,8 @@
 """Encoder-decoder with a joint generate-or-copy action distribution.
 
 Architecture: a bidirectional multi-layer GRU encoder (each layer one
-two-direction `ad.gru_sequence` run), a single-layer GRU decoder whose state
+two-direction `ad.gru_sequence` run, the summary's two end states read from
+the last layer by one gather), a single-layer GRU decoder whose state
 depends only on the tokens consumed so far, multiplicative
 attention, and one softmax over all actions: every vocab token plus every
 contiguous input span (i, j), i < j.  A span's score is bilinear in the
@@ -28,7 +29,7 @@ its group's first member.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Sequence
 
 import numpy as np
@@ -180,6 +181,29 @@ def init_parameters(cfg: ModelConfig) -> dict[str, Tensor]:
     return params
 
 
+# The JSON types each ModelConfig field's annotation admits in a checkpoint
+# header: a float field takes an integral number too, an int field no bool.
+_CONFIG_JSON_TYPES = {
+    "int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None)), "str": (str,),
+}
+
+
+def _config_from_json(path, doc) -> ModelConfig:
+    """The ModelConfig of a checkpoint header's `config` mapping, with every
+    key a field and every value of the field's JSON type."""
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: 'config' must be a mapping, got {type(doc).__name__}")
+    annotation = {f.name: f.type for f in fields(ModelConfig)}
+    for key, value in doc.items():
+        if key not in annotation:
+            raise ModelError(f"{path}: unknown model config key {key!r}")
+        if type(value) not in _CONFIG_JSON_TYPES[annotation[key]]:
+            raise ModelError(f"{path}: model config {key!r} must be {annotation[key]}, got {value!r}")
+    if "vocab_size" not in doc:
+        raise ModelError(f"{path}: model config lacks 'vocab_size'")
+    return ModelConfig(**doc)
+
+
 @functools.lru_cache(maxsize=64)
 def _forbidden_spans(n: int, max_copy_len: int | None) -> np.ndarray:
     """[n, n] mask of the span cells (i, j-1) that are no action; shared, never write to it."""
@@ -233,11 +257,11 @@ class SpanCopyModel:
                 inp = ad.dropout(out, cfg.dropout, train, rng)
             else:
                 inp = out
-        # the end states: forward after x[n-1], backward after x[0]
-        hid = cfg.enc_hidden
-        fwd_end = ad.narrow(ad.narrow(out, 1, n - 1, 1), 2, 0, hid)
-        bwd_end = ad.narrow(ad.narrow(out, 1, 0, 1), 2, hid, hid)
-        last = ad.reshape(ad.concat([fwd_end, bwd_end], 2), (bsz, cfg.ctx_dim))
+        # the end states, gathered from the flattened [B, n * ctx] output:
+        # the forward half after x[n-1], the backward half after x[0]
+        half = np.arange(cfg.enc_hidden)
+        ends = np.concatenate([(n - 1) * cfg.ctx_dim + half, cfg.enc_hidden + half])
+        last = ad.take_last(ad.reshape(out, (bsz, -1)), np.broadcast_to(ends, (bsz, cfg.ctx_dim)))
         summary = ad.tanh(
             ad.add(ad.matmul(last, self._p("enc.bridge.W"), transpose_b=True), self._p("enc.bridge.b"))
         )
@@ -282,7 +306,7 @@ class SpanCopyModel:
         """hidden [B, K, d], ctx [B, n, C] -> attended state [B, K, d]."""
         hp = ad.matmul(hidden, self._p("attn.W_a"))  # [B, K, C]
         scores = ad.bmm_t(hp, ctx)  # [B, K, n]
-        weights = ad.exp(ad.log_softmax(scores, axis=-1))
+        weights = ad.softmax(scores, axis=-1)
         pooled = ad.bmm(weights, ctx)  # [B, K, C]
         mixed = ad.concat([pooled, hidden], 2)
         ht = ad.tanh(
@@ -316,18 +340,18 @@ class SpanCopyModel:
 
         ht [B, K, d], proj = `span_projections(ctx)` -> (vocab scores
         [B, K, V], span start scores [B, K, n], span end scores [B, K, n],
-        log normalizer [B, K]).  log q(Gen(t)) = vs[..., t] - z;  log
+        log normalizer [B, K, 1]).  log q(Gen(t)) = vs[..., t] - z;  log
         q(Copy(i, j)) = a[..., i] + c[..., j-1] - z.  The normalizer folds
         all spans in via a cumulative log-sum-exp over start scores, which
         keeps the whole step linear in n.
         """
         a, c = (ad.bmm_t(ht, p) for p in proj)  # [B, K, n] each
         vs = self.vocab_scores(ht)  # [B, K, V]
-        vocab_lse = ad.logsumexp(vs, axis=-1)
+        vocab_lse = ad.logsumexp(vs, axis=-1, keepdims=True)
         if self.config.max_copy_len == 1:
-            span_lse = ad.logsumexp(ad.add(a, c), axis=-1)
+            span_lse = ad.logsumexp(ad.add(a, c), axis=-1, keepdims=True)
         else:
-            span_lse = ad.logsumexp(ad.add(c, ad.cumlogsumexp(a)), axis=-1)
+            span_lse = ad.logsumexp(ad.add(c, ad.cumlogsumexp(a)), axis=-1, keepdims=True)
         z = ad.logaddexp(vocab_lse, span_lse)
         return vs, a, c, z
 
@@ -337,7 +361,7 @@ class SpanCopyModel:
         (log_q_vocab [R, V], log_q_span [R, n, n]) by `score_components`; cell
         (i, j-1) holds Copy(i, j), and cells that are no action hold -inf."""
         vs, a, c, z = self.score_components(ht, proj)
-        z = z.data[0, :, None]
+        z = z.data[0]
         log_q_span = a.data[0, :, :, None] + (c.data[0, :, None, :] - z[:, :, None])
         log_q_span[:, _forbidden_spans(a.shape[2], self.config.max_copy_len)] = ad.NEG_INF
         return Tensor(vs.data[0] - z), Tensor(log_q_span)
@@ -360,7 +384,7 @@ class SpanCopyModel:
         arrays, header = ad.load_checkpoint(path)
         if "config" not in header:
             raise ModelError(f"{path}: checkpoint header lacks a model config")
-        cfg = ModelConfig(**header["config"])
+        cfg = _config_from_json(path, header["config"])
         per_gate = _per_gate_names(cfg)
         params: dict[str, Tensor] = {}
         for name, shape in parameter_shapes(cfg).items():

@@ -17,7 +17,8 @@ it, so encoder, decoder, attention, and score pieces for all positions run as
 one batched pass that gathers every correct action's log probability into
 one edge array [B, K, 1 + C]: edge 0 of position k is its Gen (one token),
 edges 1..C its copy slots (as many tokens as the span is long), and an
-absent edge holds -inf.  The DP over those edges is one graph node,
+absent edge (one the bucket's `ok` mask, in the same edge order, leaves
+out) holds -inf.  The DP over those edges is one graph node,
 `autodiff.marginal_dp`, which reads each edge's hop (its length in tokens):
 its forward runs the recurrence on arrays and its backward is the outside
 pass, so the tape does not grow with len(y).  The per-position normalizer
@@ -43,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -144,47 +145,41 @@ def correct_actions(
 
 @dataclass
 class Bucket:
-    """Gather indices for a batch of same-shape (x, y) pairs.
+    """Gather indices for a batch of same-shape (x, y) pairs, every field a
+    batch-major array.
 
     K = m + 1 teacher-forced positions, each with 1 + C edges: edge 0 is the
-    Gen, edges 1..C the copy slots.  gen_ids/gen_ok give the correct vocab
-    action per position (position m is always EOS).  copy_* flatten each
+    Gen, edges 1..C the copy slots.  gen_ids gives the vocab action per
+    position (position m is always EOS).  copy_i and copy_jm1 flatten each
     position's correct copies into C slots (C is the bucket's largest count,
     at least 1), ordered by start and then by length, unused slots zero:
-    start index, end-1 index and a validity mask; a copy's hop is
-    copy_jm1 - copy_i + 1 tokens, a Gen's is 1.  `longest` marks, in edge
-    order, the single longest-copy path's choices: at each position it
-    visits, the longest copy (ties to the earliest start), else the Gen.
+    start index and end-1 index; a copy's hop is copy_jm1 - copy_i + 1
+    tokens, a Gen's is 1.  `ok` marks, in edge order, the edges that are
+    correct actions: its column 0 says whether the Gen is one, the rest
+    (`copy_mask`) which copy slots are used.  `longest` marks, in edge order,
+    the single longest-copy path's choices: at each position it visits, the
+    longest copy (ties to the earliest start), else the Gen.
     """
 
-    n: int
-    m: int
     x_ids: np.ndarray  # [B, n] int64
     dec_in: np.ndarray  # [B, K] int64, column 0 is START
     gen_ids: np.ndarray  # [B, K] int64
-    gen_ok: np.ndarray  # [B, K] bool
     copy_i: np.ndarray  # [B, K, C] int64
     copy_jm1: np.ndarray  # [B, K, C] int64
-    copy_mask: np.ndarray  # [B, K, C] bool
+    ok: np.ndarray  # [B, K, 1 + C] bool
     longest: np.ndarray  # [B, K, 1 + C] bool
 
     @property
     def size(self) -> int:
         return len(self.x_ids)
 
+    @property
+    def copy_mask(self) -> np.ndarray:
+        """[B, K, C] bool: which copy slots hold a correct copy."""
+        return self.ok[..., 1:]
+
     def take(self, rows: np.ndarray) -> "Bucket":
-        return Bucket(
-            n=self.n,
-            m=self.m,
-            x_ids=self.x_ids[rows],
-            dec_in=self.dec_in[rows],
-            gen_ids=self.gen_ids[rows],
-            gen_ok=self.gen_ok[rows],
-            copy_i=self.copy_i[rows],
-            copy_jm1=self.copy_jm1[rows],
-            copy_mask=self.copy_mask[rows],
-            longest=self.longest[rows],
-        )
+        return Bucket(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 def build_bucket(
@@ -225,13 +220,12 @@ def build_bucket(
     slots = spans - np.repeat(np.cumsum(per_row) - per_row, per_row)
     copy_i = np.zeros((bsz * k_steps, cmax), dtype=np.int64)
     copy_jm1 = np.zeros((bsz * k_steps, cmax), dtype=np.int64)
-    copy_mask = np.zeros((bsz * k_steps, cmax), dtype=bool)
+    ok = np.zeros((bsz * k_steps, 1 + cmax), dtype=bool)
     copy_i[rows, slots] = starts
     copy_jm1[rows, slots] = starts + within
-    copy_mask[rows, slots] = True
-    copy_i, copy_jm1, copy_mask = (
-        a.reshape(bsz, k_steps, cmax) for a in (copy_i, copy_jm1, copy_mask)
-    )
+    ok[rows, 1 + slots] = True
+    copy_i, copy_jm1 = (a.reshape(bsz, k_steps, cmax) for a in (copy_i, copy_jm1))
+    ok = ok.reshape(bsz, k_steps, 1 + cmax)
 
     # An in-vocab target has its Gen; an out-of-vocab one (vocab.ids gives
     # UNK) has Gen(UNK) only when it cannot be copied; position m is EOS.
@@ -239,10 +233,10 @@ def build_bucket(
     y_ids = np.array([vocab.ids(y) for _, y in pairs], dtype=np.int64)
     in_vocab = np.array([[s in vocab for s in y] for _, y in pairs], dtype=bool)
     dec_in = np.concatenate([np.full((bsz, 1), START_ID, dtype=np.int64), y_ids], axis=1)
-    gen_ok = np.ones((bsz, k_steps), dtype=bool)
-    gen_ok[:, :m] = in_vocab | (counts[:, :m] == 0)
+    ok[:, m, 0] = True
+    ok[:, :m, 0] = in_vocab | (counts[:, :m] == 0)
     gen_ids = np.full((bsz, k_steps), EOS_ID, dtype=np.int64)
-    gen_ids[:, :m] = np.where(gen_ok[:, :m], y_ids, 0)
+    gen_ids[:, :m] = np.where(ok[:, :m, 0], y_ids, 0)
 
     # Longest-copy path: the longest matching copy, ties to the earliest
     # start (argmax takes the first); a position with no copy (position m
@@ -262,7 +256,7 @@ def build_bucket(
         b, k = rows[live], at[live]
         longest[b, k, best_edge[b, k]] = True
         at[live] = k + np.maximum(best_len[b, k], 1)
-    return Bucket(n, m, x_ids, dec_in, gen_ids, gen_ok, copy_i, copy_jm1, copy_mask, longest)
+    return Bucket(x_ids, dec_in, gen_ids, copy_i, copy_jm1, ok, longest)
 
 
 def build_buckets(
@@ -293,7 +287,6 @@ def _gathered_scores(
     """Log probabilities of every correct action as the edge array
     [B, K, 1 + C] (edge 0 the Gen, edges 1..C the copy slots), batched;
     absent edges hold -inf and carry no gradient."""
-    bsz, k_steps = bucket.gen_ids.shape
     enc = model.encode_batch(bucket.x_ids, train, rng)
     states = model.forced_states(enc.summary, bucket.dec_in)
     ht = model.attend_batch(states, enc.contextual, train, rng)
@@ -302,9 +295,7 @@ def _gathered_scores(
         ad.take_last(vs, bucket.gen_ids[:, :, None]),
         ad.add(ad.take_last(a, bucket.copy_i), ad.take_last(c, bucket.copy_jm1)),
     ], 2)
-    lq = ad.sub(scores, ad.reshape(z, (bsz, k_steps, 1)))
-    ok = np.concatenate([bucket.gen_ok[:, :, None], bucket.copy_mask], axis=2)
-    return ad.masked_fill(lq, ~ok, ad.NEG_INF)
+    return ad.masked_fill(ad.sub(scores, z), ~bucket.ok, ad.NEG_INF)
 
 
 def bucket_log_scores(
@@ -353,8 +344,8 @@ class Adam:
         eps: float = 1e-8,
         clip_norm: float | None = 5.0,
     ):
-        if lr < 0:
-            raise ValueError(f"lr must be >= 0, got {lr}")
+        if not (lr >= 0 and math.isfinite(lr)):
+            raise ValueError(f"lr must be finite and >= 0, got {lr}")
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
         if clip_norm is not None and not clip_norm > 0:
@@ -415,6 +406,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (self.lr >= 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.objective not in OBJECTIVES:

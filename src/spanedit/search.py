@@ -22,6 +22,8 @@ ray's action path.  All three share one length budget: an unfinished ray of
 at most max_len >= 0 tokens takes one more action.  Every action but EOS
 emits at least one token, so a search ends within max_len + 1 rounds; one
 that does not has scored a zero-length action, and raises RuntimeError.
+A round whose best action scores NaN or +inf raises ValueError: a masked
+action scores -inf, so only a broken model scores that way.
 
 All three run on one array core.  Every action has a flat index: Gen(t) is
 t and Copy(i, j) is V + i*n + j - 1, which is also the order actions are
@@ -240,6 +242,9 @@ def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
     ht = model.attend_states(rays.hidden[active], enc)
     lqv, lqs = model.action_scores_many(ht, proj)
     flat = np.concatenate([lqv.data, lqs.data.reshape(active.size, -1)], axis=1)
+    top = flat.max()
+    if not np.isfinite(top):
+        raise ValueError(f"the best action scores {top}: the model's scores are not finite")
     rows, acts = np.isfinite(flat).nonzero()
     parents = active[rows]
     return _Pool(

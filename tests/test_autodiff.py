@@ -79,29 +79,47 @@ def test_logsumexp_keepdims_bitwise_equal_to_reference(rng, dtype, empty_slice):
         assert np.array_equal(got, want)
 
 
-def test_log_softmax_normalizes():
+def test_softmax_normalizes():
     rng = np.random.default_rng(1)
     x = t(rng.normal(size=(4, 7)))
-    out = ad.log_softmax(x)
-    sums = np.exp(out.data).sum(axis=-1)
+    out = ad.softmax(x)
+    sums = out.data.sum(axis=-1)
     assert np.allclose(sums, 1.0, atol=1e-9)
 
 
-def test_log_softmax_fully_masked_row_raises():
+def test_softmax_fully_masked_row_raises():
     x = t(np.full((2, 3), ad.NEG_INF))
     with pytest.raises(ValueError):
-        ad.log_softmax(x)
+        ad.softmax(x)
 
 
 def test_masked_fill_blocks_weight_and_gradient():
     x = t([1.0, 2.0, 3.0])
     mask = np.array([False, True, False])
-    out = ad.log_softmax(ad.masked_fill(x, mask, ad.NEG_INF))
-    probs = np.exp(out.data)
+    out = ad.softmax(ad.masked_fill(x, mask, ad.NEG_INF))
+    probs = out.data
     assert probs[1] == 0.0
     assert probs.sum() == pytest.approx(1.0)
     ad.backward(ad.reduce_sum(ad.narrow(out, 0, 0, 1)))
     assert x.grad_array()[1] == 0.0
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_softmax_rounds_as_exp_of_log_softmax(axis):
+    # the max-shifted arithmetic of exp(log_softmax(x)), forward and
+    # backward, in numpy: softmax must round exactly as it does
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(4, 7)) * 30
+    data[1, 2] = ad.NEG_INF
+    g = rng.normal(size=data.shape)
+    m = data.max(axis=axis, keepdims=True)
+    log_w = data - (m + np.log(np.exp(data - m).sum(axis=axis, keepdims=True)))
+    gw = g * np.exp(log_w)
+    x = t(data)
+    out = ad.softmax(x, axis=axis)
+    ad.backward(ad.reduce_sum(ad.mul(out, g)))
+    assert np.array_equal(out.data, np.exp(log_w))
+    assert np.array_equal(x.grad, gw - np.exp(log_w) * gw.sum(axis=axis, keepdims=True))
 
 
 def test_cumlogsumexp_matches_naive(rng):

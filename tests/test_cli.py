@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spanedit.cli import config_hash, main
+from spanedit import SpanCopyModel
+from spanedit.cli import _COMMANDS, config_hash, main
 
 
 def run_cli(*argv):
@@ -194,6 +196,54 @@ def test_decode_rejects_checkpoint_missing_a_gate(trained_artifacts, tmp_path):
     assert out == ""
 
 
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+# Each breaks one part of a saved checkpoint; the name is what the error
+# must mention.
+MALFORMED_CHECKPOINTS = {
+    "shape_missing": (lambda doc: doc["params"]["out.b"].pop("shape"), "out.b"),
+    "params_a_list": (lambda doc: _set(doc, "params", list(doc["params"].values())), "params"),
+    "shape_an_int": (lambda doc: _set(doc["params"]["out.b"], "shape", 4), "out.b"),
+    "data_not_a_string": (lambda doc: _set(doc["params"]["out.b"], "data", [0.0]), "out.b"),
+    "config_unknown_key": (lambda doc: _set(doc["config"], "colour", "red"), "colour"),
+    "config_wrong_type": (lambda doc: _set(doc["config"], "vocab_size", "6"), "vocab_size"),
+    "config_not_a_mapping": (lambda doc: _set(doc, "config", [1, 2]), "config"),
+    "config_lacks_vocab_size": (lambda doc: doc["config"].pop("vocab_size"), "vocab_size"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_decode_rejects_malformed_checkpoint(trained_artifacts, tmp_path, caplog, case):
+    model, vocab, _ = trained_artifacts
+    doc = json.loads(model.read_text())
+    breaks, name = MALFORMED_CHECKPOINTS[case]
+    breaks(doc)
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(doc))
+    code, out = run_cli("decode", "--model", str(broken), "--vocab", str(vocab), "--input", "a b")
+    assert code == 3
+    assert out == ""
+    assert str(broken) in caplog.text and repr(name) in caplog.text
+
+
+@pytest.mark.parametrize("param, value", [("out.b", float("nan")), ("span.W_start", float("inf"))])
+def test_decode_rejects_non_finite_model(trained_artifacts, tmp_path, param, value):
+    model, vocab, _ = trained_artifacts
+    broken = SpanCopyModel.load(model)
+    broken.params[param].data[...] = value
+    broken.save(tmp_path / "model.json")
+    for decoder in ("greedy", "beam_merged", "beam_merge_at_end"):
+        with np.errstate(invalid="ignore"):
+            code, out = run_cli(
+                "decode", "--model", str(tmp_path / "model.json"), "--vocab", str(vocab),
+                "--input", "a b c", "--decoder", decoder,
+            )
+        assert code == 3
+        assert out == ""
+
+
 def test_eval_report(trained_artifacts, corpus_dir, tmp_path):
     model, vocab, _ = trained_artifacts
     out = tmp_path / "report.json"
@@ -293,6 +343,15 @@ def test_train_rejects_nonpositive_clip_norm(corpus_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_lr(corpus_dir, tmp_path, lr):
+    out = tmp_path / "m.json"
+    code, _ = run_cli("train", "--data", str(corpus_dir), "--out", str(out),
+                      "--epochs", "1", "--lr", lr)
+    assert code == 3
+    assert not out.exists()
+
+
 def test_exit_code_validation_taskspec(tmp_path):
     code, _ = run_cli("gen-data", "--task", "insert", "--count", "4",
                       "--min-len", "9", "--max-len", "3", "--out", str(tmp_path / "o"))
@@ -326,6 +385,21 @@ def test_log_levels_named_in_readme_run(tmp_path, monkeypatch):
         code, _ = run_cli("gen-data", "--task", "insert", "--count", "4",
                           "--out", str(tmp_path / level))
         assert code == 0, level
+
+
+def test_readme_cli_flags_exist():
+    # every --flag the README's CLI section names is an option of some
+    # subcommand, --config, or the --no- form of a flag option
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    known = {"--config"}
+    for opts in _COMMANDS.values():
+        for o in opts:
+            flag = "--" + o.name.replace("_", "-")
+            known |= {flag, "--no-" + flag[2:]} if o.is_flag else {flag}
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert named
+    assert sorted(named - known) == []
 
 
 def test_console_entry_point():

@@ -30,7 +30,7 @@ def attention_weights(model, hidden, enc):
     encoding, computed the way attend_batch computes them."""
     hp = ad.matmul(hidden, model.params["attn.W_a"])
     scores = ad.matmul(hp, enc.contextual.data[0], transpose_b=True)
-    return np.exp(ad.log_softmax(scores, axis=-1).data)
+    return ad.softmax(scores, axis=-1).data
 
 
 def test_config_validation():

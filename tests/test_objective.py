@@ -324,7 +324,7 @@ def test_bucket_slots_equal_correct_actions(pairs, cap):
                 se.Copy(int(i), int(jm1) + 1)
                 for i, jm1 in zip(bucket.copy_i[b, k][ok], bucket.copy_jm1[b, k][ok])
             ]
-            if bucket.gen_ok[b, k]:
+            if bucket.ok[b, k, 0]:
                 slots.append(se.Gen(int(bucket.gen_ids[b, k])))
             want = se.correct_actions(x, y, vocab, k, cap)
             assert set(slots) == set(want)
@@ -370,6 +370,17 @@ def test_clip_norm_must_be_positive():
         with pytest.raises(ValueError, match="clip_norm"):
             se.TrainConfig(clip_norm=bad)
     assert se.Adam(model.params, clip_norm=None).clip_norm is None
+
+
+def test_lr_must_be_finite_and_nonnegative():
+    # a NaN or infinite rate used to train until the loss diverged
+    vocab, _ = tiny_vocab()
+    model = random_params_model(vocab, np.random.default_rng(0))
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            se.Adam(model.params, lr=bad)
+        with pytest.raises(ValueError, match="lr"):
+            se.TrainConfig(lr=bad)
 
 
 def test_zero_lr_leaves_parameters(insert_setup):

@@ -381,6 +381,17 @@ def test_zero_length_action_raises_instead_of_looping(monkeypatch, decoder):
         decoder(model, vocab, ("a", "b", "c"), max_len=3)
 
 
+@pytest.mark.parametrize("param, value", [("out.b", math.nan), ("span.W_start", math.inf)])
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS.keys())
+def test_non_finite_scores_raise(decoder, param, value):
+    # a masked action scores -inf, so NaN or +inf is the model's fault; the
+    # beams used to fail deep inside pruning, or return no candidate at all
+    model, vocab = small_model()
+    model.params[param].data[...] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        decoder(model, vocab, ("a", "b", "c"), max_len=3)
+
+
 def test_hash_collisions_take_exact_fallback(monkeypatch):
     model, vocab = small_model(seed=11)
     x = ("a", "b", "a")

@@ -5,7 +5,8 @@ read what those functions return.
 attribute name, and reports a metric whose hook does not resolve as
 unmeasured instead of failing.  A rename in spanedit would therefore turn
 per-layer metrics into `unmeasured` without any error; these tests read the
-tracer's hook tables, and run one traced decode, and fail instead.
+tracer's hook tables, and run one traced decode and one traced training
+run, and fail instead.
 """
 
 import importlib
@@ -18,7 +19,7 @@ import spanedit as se
 import spanedit.autodiff  # noqa: F401  (the tensor counter hook reads it)
 from spanedit.corpus import RESERVED_SURFACES
 
-from conftest import random_params_model
+from conftest import random_params_model, tiny_model, tiny_vocab
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -65,3 +66,36 @@ def test_tracer_counts_one_beam_decode():
     assert rows > 0
     v, n = vocab.size, len(x)  # PAD and START are never generated
     assert values["search.successors_per_decode"] == rows * (v - 2 + n * (n + 1) // 2)
+
+
+def test_tracer_counts_one_training_run():
+    # the tracer reads each training batch's Bucket.size, and the copy_mask
+    # of every bucket build_buckets returns
+    tracing = load_tracing()
+    vocab, letters = tiny_vocab()
+    a, b, c, d = letters[:4]
+    examples = [se.EditExample(x, y) for x, y in (
+        ((a, b, c), (a, b, b, c)), ((b, c, a), (b, c, d, a)), ((c, a, b), (a, c, a, b)),
+        ((a, b, c, d), (a, c, d)), ((d, c, b, a), (d, b, a)),
+    )]
+    cfg = se.TrainConfig(epochs=1, batch_size=2, lr=1e-2, seed=1)
+
+    def run():
+        records = se.train(tiny_model(vocab, seed=2), vocab, examples, [], cfg)
+        return [{k: v for k, v in r.items() if k not in ("wall_s", "examples_per_s")} for r in records]
+
+    plain = run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    values, unmeasured = tracer.layer_metrics(wall_s=1.0)
+    assert unmeasured == []
+    masks = [bucket.copy_mask for bucket in se.build_buckets([(ex.input, ex.output) for ex in examples], vocab)]
+    assert values["objective.copy_slot_fill"] == sum(m.sum() for m in masks) / sum(m.size for m in masks)
+    (record, _) = plain
+    assert values["objective.steps_per_epoch"] == record["batches"] == 3
+    assert values["objective.mean_batch_size"] == record["mean_batch_size"]
