@@ -763,8 +763,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: param {name!r} shape {shape!r} is not a list of sizes")
         shape = tuple(shape)
         try:
-            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype=wire)
-        except ValueError as e:  # bad base64 padding, or a partial number
+            arr = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype=wire)
+        except ValueError as e:  # not strict base64, or a partial number
             raise CheckpointError(f"{path}: param {name!r} data: {e}") from e
         expect = int(np.prod(shape)) if shape else 1
         if arr.size != expect:

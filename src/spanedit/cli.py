@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .atomic import atomic_write
-from .autodiff import CheckpointError
 from .corpus import (
     CorpusError,
     EditExample,
@@ -498,16 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DivergenceError as err:
         logger.error("training diverged: %s", err)
         return EXIT_DIVERGENCE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        logger.error("%s", err)
-        return EXIT_IO
-    except (CorpusError, CheckpointError, ModelError) as err:
-        logger.error("%s", err)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as err:
-        logger.error("invalid JSON: %s", err)
-        return EXIT_VALIDATION
-    except ValueError as err:
+    except ValueError as err:  # CorpusError, CheckpointError and ModelError among them
         logger.error("%s", err)
         return EXIT_VALIDATION
     except OSError as err:

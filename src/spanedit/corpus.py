@@ -266,7 +266,10 @@ def read_corpus(path) -> list[EditExample]:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Token table with 4 reserved ids then surfaces by descending frequency."""
+    """Token table with 4 reserved ids then surfaces by descending frequency.
+    Every surface after the reserved ones must pass validate_tokens, the
+    rule for corpus and decoder tokens, so every generated token is one that
+    an input could hold."""
 
     surfaces: tuple[str, ...]
     _ids: dict = field(repr=False, hash=False, compare=False, default=None)
@@ -274,6 +277,7 @@ class Vocab:
     def __post_init__(self):
         if tuple(self.surfaces[:4]) != RESERVED_SURFACES:
             raise CorpusError("vocab must start with the 4 reserved surfaces")
+        validate_tokens(self.surfaces[4:], "vocab")
         if len(set(self.surfaces)) != len(self.surfaces):
             raise CorpusError("vocab contains duplicate surfaces")
         object.__setattr__(self, "_ids", {s: i for i, s in enumerate(self.surfaces)})

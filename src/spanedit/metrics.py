@@ -155,7 +155,10 @@ def evaluate(
     high values flag a model that learned to copy rather than edit.  It is a
     rank among this model's own beam candidates, so it compares with the same
     report's mrr (the gold edit's rank in that beam), not with the input_mrr
-    of another model, whose beam holds different candidates.  Raises ValueError on no examples."""
+    of another model, whose beam holds different candidates.  Raises ValueError on no examples
+    or k < 1 (no rank is below 1, so accuracy@k would read 0 beside any exact match)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
     def one(ex: EditExample) -> tuple[str, dict[str, float]]:
         result = decode(model, vocab, list(ex.input), beam_size, max_len, merge)

@@ -28,22 +28,20 @@ action scores -inf, so only a broken model scores that way.
 All three run on one array core.  Every action has a flat index: Gen(t) is
 t and Copy(i, j) is V + i*n + j - 1, which is also the order actions are
 enumerated and path tie-breaks compare in.  Per input, a table gives every
-action's length, feed ids and Karp-Rabin hash; span hashes come from prefix
-hashes of the input, over an id space in which each distinct
-out-of-vocabulary input surface has an id of its own.  The facts that do not
-depend on the input's tokens are cached per input length.  Survivor rays are
-arrays (log-prob, hash, length, finished flag, decoder state) plus the token
-tuples (and, without merging, the action paths) of at most beam-width rays.
-A round scores the active rays in one call and pools their successors with
-the waiting rays.  A merging round keys every pool entry by (hash, length,
-finished) and sums each group's mass with one reduceat; every round prunes
-with a partial sort.  Token tuples are built only for the members of
-multi-member groups, which are checked exactly against their group's first
-member, and for the groups at or above the k-th score, which get the exact
-(-score, tokens) tie-break.  A hash collision always makes a multi-member
-group that fails the check; that round is then regrouped by exact token
-tuples.  Survivors are settled with one batched decoder step per pending
-token depth.
+action's length and feed ids and, for merging rounds only, a token class:
+two actions have equal classes exactly when they emit equal tokens.  The
+facts that do not depend on the input's tokens are cached per input length.
+Survivor rays are arrays (log-prob, length, finished flag, decoder state)
+plus the token tuples (and, without merging, the action paths) of at most
+beam-width rays.  A round scores the active rays in one call and pools their
+successors with the waiting rays.  The active rays of a merging round are
+distinct and all hold `step` tokens, so a successor is keyed exactly by
+(its parent, its action's class), and a waiting ray by the same key when an
+active ray and one action make its tokens; each group's mass is summed with
+one reduceat.  Every round prunes with a partial sort.  Token tuples are
+built only for merge events and for the groups at or above the k-th score,
+which get the exact (-score, tokens) tie-break.  Survivors are settled with one batched decoder
+step per pending token depth.
 """
 
 from __future__ import annotations
@@ -57,11 +55,6 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import EOS, EOS_ID, UNK_ID, Vocab, validate_tokens
 from .model import Action, Copy, Gen, SpanCopyModel
-
-# Multiplier of the rolling token hash (mod 2^64).  Any value is correct,
-# since every merge is verified exactly; a poor one only costs fallbacks.
-_HASH_BASE = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 
 def default_max_len(n: int) -> int:
@@ -145,53 +138,36 @@ def greedy_decode(
 
 
 @functools.lru_cache(maxsize=16)
-def _shape_facts(v: int, n: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """length, power and feed_start of every flat action (see _ActionTable):
-    the facts that depend only on the vocab size and the input length.
-    Cached, so the arrays are read-only."""
+def _shape_facts(v: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """length and feed_start of every flat action (see _ActionTable): the
+    facts that depend only on the vocab size and the input length.  Cached,
+    so the arrays are read-only."""
     last = np.arange(n)
     span_length = np.maximum(last - last[:, None] + 1, 0)  # [start, last]
     wait = np.zeros(1, dtype=np.int64)
     length = np.concatenate([np.ones(v, dtype=np.int64), span_length.ravel(), wait])
     length[EOS_ID] = 0
-    powers = [1]
-    for _ in range(n):
-        powers.append((powers[-1] * base) & _MASK64)
-    power = np.array(powers, dtype=np.uint64)[length]  # base ** length
     feed_start = np.concatenate([n + np.arange(v), np.repeat(last, n), wait])
-    for a in (length, power, feed_start):
+    for a in (length, feed_start):
         a.flags.writeable = False
-    return length, power, feed_start
+    return length, feed_start
 
 
 class _ActionTable:
     """Per-input facts about every flat action index (see the module doc),
-    plus a last entry, index -1, for a ray that waits: length 0, hash 0 and
-    power 1, so that waiting leaves a ray as it is.
+    plus a last entry, index -1, for a ray that waits: length 0 and class
+    -1, so that waiting leaves a ray as it is.
 
-    Gen(EOS) has length 0, hash 0 and no surfaces: finishing leaves a ray's
-    tokens (and so its hash) unchanged and only sets the finished flag.  Span
-    cells below the diagonal have length 0 and meaningless hashes; they
-    score -inf, as does every span a capped model forbids, so no pool entry
-    uses them.  Feed ids of action a are feed[feed_start[a] : feed_start[a] +
-    length[a]]; a copy's surfaces are the same slice of x."""
+    Gen(EOS) has length 0 and no surfaces: finishing leaves a ray's tokens
+    unchanged and only sets the finished flag.  Span cells below the
+    diagonal have length 0 and class -1; they score -inf, as does every
+    span a capped model forbids, so no pool entry uses them.  Feed ids of
+    action a are feed[feed_start[a] : feed_start[a] + length[a]]; a copy's
+    surfaces are the same slice of x."""
 
     def __init__(self, vocab: Vocab, x, x_ids: list[int], v: int):
-        n = len(x)
-        self.vocab, self.x, self.v, self.n = vocab, tuple(x), v, n
-        base = _HASH_BASE & _MASK64
-        self.length, self.power, self.feed_start = _shape_facts(v, n, base)
-        fresh: dict[str, int] = {}
-        prefix = [0]
-        for s, t in zip(x, x_ids):
-            sid = t if t != UNK_ID else fresh.setdefault(s, v + len(fresh))
-            prefix.append((prefix[-1] * base + sid) & _MASK64)
-        prefix = np.array(prefix, dtype=np.uint64)
-        span_hash = prefix[1:] - prefix[:-1, None] * self.power[v:-1].reshape(n, n)
-        self.hash = np.concatenate(
-            [np.arange(v, dtype=np.uint64), span_hash.ravel(), np.zeros(1, dtype=np.uint64)]
-        )
-        self.hash[EOS_ID] = 0
+        self.vocab, self.x, self.x_ids, self.v, self.n = vocab, tuple(x), x_ids, v, len(x)
+        self.length, self.feed_start = _shape_facts(v, self.n)
         self.feed = np.array(x_ids + list(range(v)), dtype=np.int64)
 
     def surfaces(self, a: int) -> tuple[str, ...]:
@@ -200,6 +176,39 @@ class _ActionTable:
             return self.x[start : last + 1]
         return () if a == EOS_ID else (self.vocab.surface(a),)
 
+    @functools.cached_property
+    def _classes(self) -> tuple[np.ndarray, dict[str, int], dict[tuple[int, int], int]]:
+        """(cls, the class of each input surface, the class of each pair
+        (head span's class, last token's class)), built on first use, which
+        only merging rounds make.  Actions have equal classes exactly when
+        they emit equal tokens: Gen(t) is class t, a one-token copy takes its
+        surface's vocab id or, out of vocabulary, an id of its own per
+        distinct surface, and a longer copy takes the class of its pair."""
+        v, n = self.v, self.n
+        token: dict[str, int] = {}
+        for i, (s, t) in enumerate(zip(self.x, self.x_ids)):
+            token.setdefault(s, t if t != UNK_ID else v + i)
+        pair: dict[tuple[int, int], int] = {}
+        span = np.full((n, n), -1, dtype=np.int64)
+        for i in range(n):
+            c = span[i, i] = token[self.x[i]]
+            for j in range(i + 1, n):
+                c = span[i, j] = pair.setdefault((c, token[self.x[j]]), v + n + len(pair))
+        return np.concatenate([np.arange(v), span.ravel(), [-1]]), token, pair
+
+    @property
+    def cls(self) -> np.ndarray:
+        """Token class of every flat action (see _classes)."""
+        return self._classes[0]
+
+    def copy_class(self, tokens: tuple[str, ...]) -> int:
+        """The class of the copies that emit `tokens`, a non-empty span of x."""
+        _, token, pair = self._classes
+        c = token[tokens[0]]
+        for s in tokens[1:]:
+            c = pair[c, token[s]]
+        return c
+
 
 @dataclass
 class _Rays:
@@ -207,7 +216,6 @@ class _Rays:
     the EOS of a finished ray; a finished ray's hidden row is unused."""
 
     log_prob: np.ndarray  # float64 [S]
-    hash: np.ndarray  # uint64 [S]
     length: np.ndarray  # int64 [S]
     finished: np.ndarray  # bool [S]
     hidden: np.ndarray  # [S, d]
@@ -225,14 +233,6 @@ class _Pool:
     action: np.ndarray
     log_prob: np.ndarray
     finished: np.ndarray
-
-
-def _grown(table: _ActionTable, rays: _Rays, parent: np.ndarray, action: np.ndarray):
-    """Hash and length of each ray parent[p] extended by action[p]."""
-    return (
-        rays.hash[parent] * table.power[action] + table.hash[action],
-        rays.length[parent] + table.length[action],
-    )
 
 
 def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
@@ -262,31 +262,33 @@ def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
 _Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _hash_groups(
-    hashes: np.ndarray, exact: np.ndarray, tokens_of: Callable[[int], tuple[str, ...]]
-) -> _Groups | None:
-    """Groups of equal (hash, exact) keys; None if some group holds two
-    token sequences, i.e. the hash collided.  exact packs length and the
-    finished flag, so only the tokens need checking.  (No pool holds a
-    finished and an unfinished ray of equal tokens, since finished rays are
-    shorter than the rest; the finished flag keeps the key exact without
-    leaning on that.)"""
-    order = np.lexsort((exact, hashes))
-    h, e = hashes[order], exact[order]
-    starts, sizes = _runs((h[1:] != h[:-1]) | (e[1:] != e[:-1]))
-    multi = (sizes > 1).nonzero()[0]
-    if multi.size:
-        order_l = order.tolist()
-        for s, z in zip(starts[multi].tolist(), sizes[multi].tolist()):
-            first = tokens_of(order_l[s])
-            for p in order_l[s + 1 : s + z]:
-                if tokens_of(p) != first:
-                    return None
-    return order, starts, sizes
+def _frontier_groups(table: _ActionTable, rays: _Rays, pool: _Pool, step: int) -> _Groups:
+    """Groups of equal (tokens, finished) in a merging round, by exact keys.
+    The active rays are distinct and hold `step` tokens each, so a successor
+    is keyed (parent, action class).  An unfinished waiting ray w outlived
+    the round that grew it, so its last action was a copy across `step`: it
+    equals successor (q, a) exactly when q holds w[:step] and a emits the
+    span w[step:], and takes that key when q exists.  Any other waiting ray
+    keeps (itself, -1), which no successor has; a finished one is shorter
+    than every successor."""
+    key_parent, key_cls = pool.parent.copy(), table.cls[pool.action]
+    waiting = ((pool.action < 0) & ~pool.finished).nonzero()[0]
+    if waiting.size:
+        grow = (~rays.finished & (rays.length == step)).nonzero()[0]
+        active = {rays.tokens[r]: r for r in grow.tolist()}
+        for p in waiting.tolist():
+            toks = rays.tokens[pool.parent[p]]
+            q = active.get(toks[:step])
+            if q is not None:
+                key_parent[p], key_cls[p] = q, table.copy_class(toks[step:])
+    order = np.lexsort((key_cls, key_parent))
+    kp, kc = key_parent[order], key_cls[order]
+    return (order, *_runs((kp[1:] != kp[:-1]) | (kc[1:] != kc[:-1])))
 
 
 def _exact_groups(pool: _Pool, tokens_of: Callable[[int], tuple[str, ...]]) -> _Groups:
-    """Groups keyed by exact token tuples: the collision fallback."""
+    """Groups keyed by exact (tokens, finished) tuples: merge-at-end's
+    post-hoc grouping, whose rays need not be distinct."""
     ids: dict = {}
     gid = np.array(
         [ids.setdefault((tokens_of(p), f), len(ids)) for p, f in enumerate(pool.finished.tolist())]
@@ -339,11 +341,10 @@ def _next_rays(
     if merge_step is None:
         rep, score = np.arange(pool.parent.size), pool.log_prob
     else:
-        hashes, lengths = _grown(table, rays, pool.parent, pool.action)
-        exact = lengths * 2 + pool.finished
-        order, starts, sizes = _hash_groups(hashes, exact, tokens_of) or _exact_groups(
-            pool, tokens_of
-        )
+        if merge_step < 0:
+            order, starts, sizes = _exact_groups(pool, tokens_of)
+        else:
+            order, starts, sizes = _frontier_groups(table, rays, pool, merge_step)
         rep = order[starts]
         score = np.logaddexp.reduceat(pool.log_prob[order], starts)
         multi = (sizes > 1).nonzero()[0]
@@ -365,11 +366,9 @@ def _next_rays(
     kept = rep[keep]
     kept_l = kept.tolist()
     parent, action = pool.parent[kept], pool.action[kept]
-    hashes, lengths = _grown(table, rays, parent, action)
     return _Rays(
         log_prob=score[keep],
-        hash=hashes,
-        length=lengths,
+        length=rays.length[parent] + table.length[action],
         finished=pool.finished[kept],
         hidden=_settle(model, table, rays.hidden[parent], action),
         tokens=[tokens_of(p) for p in kept_l],
@@ -412,7 +411,6 @@ def _beam_search(
         table = _ActionTable(vocab, x, x_ids, model.config.vocab_size)
         rays = _Rays(
             log_prob=np.zeros(1),
-            hash=np.zeros(1, dtype=np.uint64),
             length=np.zeros(1, dtype=np.int64),
             finished=np.zeros(1, dtype=bool),
             hidden=model.initial_state(enc),

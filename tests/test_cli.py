@@ -211,6 +211,11 @@ MALFORMED_CHECKPOINTS = {
     "config_wrong_type": (lambda doc: _set(doc["config"], "vocab_size", "6"), "vocab_size"),
     "config_not_a_mapping": (lambda doc: _set(doc, "config", [1, 2]), "config"),
     "config_lacks_vocab_size": (lambda doc: doc["config"].pop("vocab_size"), "vocab_size"),
+    # non-validating base64 would drop the stray characters and load the values
+    "data_not_strict_base64": (
+        lambda doc: _set(doc["params"]["out.b"], "data", "\n*" + doc["params"]["out.b"]["data"]),
+        "out.b",
+    ),
 }
 
 
@@ -313,6 +318,30 @@ def test_unknown_config_key_fails(tmp_path):
     code, _ = run_cli("gen-data", "--config", str(cfg), "--task", "insert",
                       "--count", "4", "--out", str(tmp_path / "o"))
     assert code == 3
+
+
+def test_eval_rejects_k_below_one(trained_artifacts, corpus_dir, tmp_path):
+    model, vocab, _ = trained_artifacts
+    out = tmp_path / "report.json"
+    code, _ = run_cli(
+        "eval", "--model", str(model), "--vocab", str(vocab),
+        "--data", str(corpus_dir), "--split", "test", "--beam-size", "4",
+        "--k", "0", "--out", str(out),
+    )
+    assert code == 3
+    assert not out.exists()
+
+
+def test_decode_rejects_vocab_with_invalid_surface(trained_artifacts, tmp_path, caplog):
+    model, vocab, _ = trained_artifacts
+    lines = vocab.read_text().splitlines()
+    lines[4] = "a b"
+    broken = tmp_path / "vocab.txt"
+    broken.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("decode", "--model", str(model), "--vocab", str(broken), "--input", "a b")
+    assert code == 3
+    assert out == ""
+    assert "whitespace" in caplog.text
 
 
 def test_exit_code_usage():

@@ -142,6 +142,19 @@ def test_vocab_roundtrip(tmp_path):
     assert tuple(loaded.surfaces) == tuple(vocab.surfaces)
 
 
+@pytest.mark.parametrize("bad", ["a b", "a\t", "", "</s>", "<unk>"])
+def test_vocab_refuses_invalid_surfaces(bad):
+    with pytest.raises(CorpusError):
+        se.Vocab(list(RESERVED_SURFACES) + ["a", bad])
+
+
+def test_load_vocab_refuses_a_surface_with_whitespace(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("\n".join(RESERVED_SURFACES + ("a b", "c")) + "\n")
+    with pytest.raises(CorpusError, match="whitespace"):
+        se.load_vocab(path)
+
+
 def test_rename_task_uses_id_tokens():
     spec = se.TaskSpec(kind=TaskKind.RENAME_ID, alphabet_size=5, seed=3)
     for ex in se.generate_corpus(spec, 20):

@@ -153,6 +153,14 @@ def test_evaluate_refuses_no_examples(trained_insert):
         se.evaluate(model, vocab, [], beam_size=4, k=4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_evaluate_refuses_k_below_one(trained_insert, k):
+    # no rank is below 1: accuracy@0 would read 0 beside an exact match of 1
+    model, vocab, splits, _ = trained_insert
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        se.evaluate(model, vocab, splits["test"][:2], beam_size=4, k=k)
+
+
 def test_eval_on_gold_candidates_is_perfect():
     # metrics level: if the decoder always returned the gold output the
     # aggregate accuracy must be 1

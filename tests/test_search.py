@@ -2,6 +2,8 @@
 
 import functools
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import spanedit as se
 from spanedit import search
-from spanedit.corpus import EOS, RESERVED_SURFACES
+from spanedit.corpus import EOS, RESERVED_SURFACES, TaskKind
 from spanedit.search import MergeEvent
 from spanedit.oracle import exact_likelihood
 from spanedit.search import default_max_len
@@ -291,7 +293,7 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
     x=st.lists(st.sampled_from(["a", "b", "zz", "qq"]), min_size=1, max_size=5),
     max_len=st.integers(1, 2),
 )
-def test_array_core_matches_oracle_reference_and_exact_fallback(seed, precision, x, max_len):
+def test_array_core_matches_oracle_and_reference(seed, precision, x, max_len):
     vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b"])
     model = random_params_model(vocab, np.random.default_rng(seed), precision=precision)
     x = tuple(x)
@@ -305,24 +307,14 @@ def test_array_core_matches_oracle_reference_and_exact_fallback(seed, precision,
                 assert math.exp(cand.log_prob) == pytest.approx(want, abs=1e-9)
             else:
                 assert cand.log_prob == pytest.approx(math.log(want), abs=1e-5)
-    # a hash base of 0 keys every ray by its last token, so equal-length
-    # rays collide and rounds fall back to exact tuple keys
-    for merge, decode in ((True, se.beam_decode), (False, se.beam_decode_merge_at_end)):
-        for width in (1, 3, 100_000):
-            normal = decode(model, vocab, x, beam_size=width, max_len=max_len + 1)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_HASH_BASE", 0)
-                forced = decode(model, vocab, x, beam_size=width, max_len=max_len + 1)
-            assert _signature(forced) == _signature(normal)
-            for a, b in zip(forced.candidates, normal.candidates):
-                assert a.log_prob == pytest.approx(b.log_prob, abs=1e-12)
-            if precision == "float64":
-                # float32 states differ between batched and single-row steps
-                # in the last bits, which may reorder near-ties
+    if precision == "float64":
+        # float32 states differ between batched and single-row steps in the
+        # last bits, which may reorder near-ties
+        for merge, decode in ((True, se.beam_decode), (False, se.beam_decode_merge_at_end)):
+            for width in (1, 3, 100_000):
+                normal = decode(model, vocab, x, beam_size=width, max_len=max_len + 1)
                 cands, events = reference_beam(model, vocab, x, width, max_len + 1, merge)
-                assert _signature(normal) == (
-                    [(t, f, r) for t, _, f, r, _ in cands], events
-                )
+                assert _signature(normal) == ([(t, f, r) for t, _, f, r, _ in cands], events)
                 for c, (_, lp, _, _, _) in zip(normal.candidates, cands):
                     assert c.log_prob == pytest.approx(lp, abs=1e-9)
 
@@ -392,16 +384,89 @@ def test_non_finite_scores_raise(decoder, param, value):
         decoder(model, vocab, ("a", "b", "c"), max_len=3)
 
 
-def test_hash_collisions_take_exact_fallback(monkeypatch):
-    model, vocab = small_model(seed=11)
-    x = ("a", "b", "a")
-    calls = []
-    exact = search._exact_groups
-    monkeypatch.setattr(search, "_exact_groups", lambda *a: calls.append(1) or exact(*a))
-    normal = se.beam_decode(model, vocab, x, beam_size=16, max_len=4)
-    assert not calls  # the default hash does not collide here
-    monkeypatch.setattr(search, "_HASH_BASE", 0)
-    forced = se.beam_decode(model, vocab, x, beam_size=16, max_len=4)
-    assert calls
-    assert _signature(forced) == _signature(normal)
-    assert [c.log_prob for c in forced.candidates] == [c.log_prob for c in normal.candidates]
+def _groups(grouping):
+    """A grouping's groups, each as its members in order (the first is the
+    representative), in a canonical order."""
+    order, starts, sizes = (np.asarray(a).tolist() for a in grouping)
+    return sorted(tuple(order[s : s + z]) for s, z in zip(starts, sizes))
+
+
+def check_frontier_groups(monkeypatch):
+    """Make every merging round check its keyed groups against grouping the
+    same pool by exact (tokens, finished) tuples; returns the list of the
+    checked rounds' steps."""
+    rounds = []
+    keyed = search._frontier_groups
+
+    def checked(table, rays, pool, step):
+        got = keyed(table, rays, pool, step)
+        parent, action = pool.parent.tolist(), pool.action.tolist()
+
+        def tokens_of(p):
+            toks = rays.tokens[parent[p]]
+            return toks + table.surfaces(action[p]) if action[p] >= 0 else toks
+
+        assert _groups(got) == _groups(search._exact_groups(pool, tokens_of))
+        rounds.append(step)
+        return got
+
+    monkeypatch.setattr(search, "_frontier_groups", checked)
+    return rounds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    precision=st.sampled_from(["float64", "float32"]),
+    cap=st.sampled_from([None, 1]),
+    x=st.lists(st.sampled_from(["a", "a", "b", "c", "zz", "qq"]), min_size=1, max_size=7),
+    max_len=st.integers(0, 5),
+)
+def test_frontier_keys_group_as_exact_tokens(seed, precision, cap, x, max_len):
+    # the (parent, class) keys partition every merging round's pool exactly
+    # as its (tokens, finished) tuples do, with the same representatives
+    vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b", "c"])
+    model = random_params_model(
+        vocab, np.random.default_rng(seed), precision=precision, max_copy_len=cap
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = check_frontier_groups(mp)
+        for width in (1, 3, 100_000):
+            se.beam_decode(model, vocab, tuple(x), beam_size=width, max_len=max_len)
+    assert rounds
+
+
+ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmarks" / "artifacts"
+
+
+def test_frontier_keys_group_as_exact_tokens_on_the_frozen_checkpoint(monkeypatch):
+    # the benchmark's 207 decode inputs: the first 23 test-split inputs of
+    # each length 6-14 of the acceptance task's corpus at seed 5
+    model = se.SpanCopyModel.load(ARTIFACTS / "decode_model.json")
+    vocab = se.load_vocab(ARTIFACTS / "decode_vocab.txt")
+    spec = se.TaskSpec(kind=TaskKind.DUPLICATE_SPAN, alphabet_size=6, min_len=6, max_len=14, seed=5)
+    taken = Counter()
+    inputs = []
+    for i, ex in enumerate(se.generate_corpus(spec, 5000)):
+        if se.split_bucket(i) == "test" and taken[len(ex.input)] < 23:
+            taken[len(ex.input)] += 1
+            inputs.append(ex.input)
+    assert len(inputs) == 207
+    rounds = check_frontier_groups(monkeypatch)
+    for x in inputs:
+        se.beam_decode(model, vocab, x, beam_size=20)
+    assert len(rounds) > 207
+
+
+@pytest.mark.parametrize("decoder", [se.greedy_decode, se.beam_decode_merge_at_end])
+def test_only_merging_rounds_build_the_class_table(monkeypatch, decoder):
+    def refuse(self):
+        raise AssertionError("the class table was built")
+
+    monkeypatch.setattr(search._ActionTable, "_classes", property(refuse))
+    model, vocab = small_model(seed=12)
+    x = ("a", "b", "a", "zz")
+    args = () if decoder is se.greedy_decode else (16,)
+    decoder(model, vocab, x, *args, max_len=5)
+    with pytest.raises(AssertionError, match="class table"):
+        se.beam_decode(model, vocab, x, 16, max_len=5)
