@@ -44,13 +44,16 @@ from .objective import (
     TrainConfig,
     build_bucket,
     build_buckets,
-    correct_actions,
     marginal_log_likelihood,
-    match_table,
-    matching_spans,
     train,
 )
-from .oracle import enumerate_action_sequences, exact_likelihood
+from .oracle import (
+    correct_actions,
+    enumerate_action_sequences,
+    exact_likelihood,
+    match_table,
+    matching_spans,
+)
 from .search import (
     BeamResult,
     DecodedCandidate,

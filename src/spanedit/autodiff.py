@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Minimal op set sized for a recurrent encoder-decoder with a log-space
-dynamic program on top: matmuls, a GRU sequence op (one graph node for a
-whole time loop, with a BPTT backward), the marginal likelihood's suffix DP
-(`marginal_dp`, one graph node over an array of (log-prob, hop) edges per
-position, whose backward is the outside pass), gathers with scatter-add
-backward, a softmax (attention's weights, one node), and overflow-safe
-log-space reductions that treat IEEE -inf as "masked out" (zero gradient
-flows through masked entries).
+dynamic program on top: one product op (`matmul`, against a shared or a
+batched right operand, forward and backward through BLAS), a GRU sequence
+op (one graph node for a whole time loop, with a BPTT backward), the
+marginal likelihood's suffix DP (`marginal_dp`, one graph node over an
+array of (log-prob, hop) edges per position, whose backward is the outside
+pass), gathers with scatter-add backward, a softmax (attention's weights,
+one node), and overflow-safe log-space reductions that treat IEEE -inf as
+"masked out" (zero gradient flows through masked entries).
 
 The GRU step kernel `gru_cell` works on arrays with the three gates stacked
 in z, r, n order and D directions stacked on a leading axis, so a step is
@@ -208,46 +209,28 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """a @ b with a of rank 1..3 and b of rank 2 (optionally transposed)."""
+    """a @ b, or a @ b^T with transpose_b: the tape's one product op.
+
+    Either a [..., K, N] against one shared b [N, C], or a batch a [B, K, N]
+    against a batch b [B, N, C], item by item; with transpose_b, b is
+    [C, N] or [B, C, N] and its last two axes swap.  Any other ranks raise.
+    Forward and backward are `@` on swapped-axis views, so both reach BLAS;
+    a shared b's gradient is one product over every row of a.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 rhs, got shape {b.shape}")
-    bm = b.data.T if transpose_b else b.data
-    squeeze = a.ndim == 1
-    ad = a.data[None, :] if squeeze else a.data
-    out = ad @ bm
-    if squeeze:
-        out = out[0]
+    batched = b.ndim == 3 and a.ndim == 3 and a.shape[0] == b.shape[0]
+    if a.ndim < 2 or not (b.ndim == 2 or batched):
+        raise ValueError(f"matmul takes [..., K, N] @ [N, C] or [B, K, N] @ [B, N, C], got {a.shape} @ {b.shape}")
+    bm = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
+    out = a.data @ bm
 
     def back(g):
-        g2 = g[None, :] if squeeze else g
-        _acc(a, _unbroadcast(g2 @ bm.T, a.data.shape))
-        gb = ad.reshape(-1, ad.shape[-1]).T @ g2.reshape(-1, g2.shape[-1])
-        _acc(b, gb.T if transpose_b else gb)
-
-    return _make(out, (a, b), back)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched [B,K,N] @ [B,N,C] -> [B,K,C]."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = np.einsum("bkn,bnc->bkc", a.data, b.data)
-
-    def back(g):
-        _acc(a, np.einsum("bkc,bnc->bkn", g, b.data))
-        _acc(b, np.einsum("bkn,bkc->bnc", a.data, g))
-
-    return _make(out, (a, b), back)
-
-
-def bmm_t(a: Tensor, b: Tensor) -> Tensor:
-    """Batched [B,K,C] @ [B,N,C]^T -> [B,K,N]."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = np.einsum("bkc,bnc->bkn", a.data, b.data)
-
-    def back(g):
-        _acc(a, np.einsum("bkn,bnc->bkc", g, b.data))
-        _acc(b, np.einsum("bkn,bkc->bnc", g, a.data))
+        _acc(a, g @ np.swapaxes(bm, -1, -2))
+        if batched:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+        else:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        _acc(b, np.swapaxes(gb, -1, -2) if transpose_b else gb)
 
     return _make(out, (a, b), back)
 
@@ -266,21 +249,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             offset += s
 
     return _make(out, tuple(parts), back)
-
-
-def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
-    t = as_tensor(t)
-    sl = [slice(None)] * t.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out = t.data[sl]
-
-    def back(g):
-        gt = np.zeros_like(t.data)
-        gt[sl] = g
-        _acc(t, gt)
-
-    return _make(out, (t,), back)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -441,10 +409,9 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     arithmetic of exp(log_softmax(t)).  Raises if a slice is entirely -inf:
     that means nothing is available to weigh, which is a caller bug."""
     t = as_tensor(t)
-    m = np.max(t.data, axis=axis, keepdims=True)
-    if np.any(np.isneginf(m)):
+    lse = _logsumexp_keepdims(t.data, axis)
+    if np.any(np.isneginf(lse)):
         raise ValueError("softmax over a fully masked slice (no valid entry)")
-    lse = m + np.log(np.sum(np.exp(t.data - m), axis=axis, keepdims=True))
     out = np.exp(t.data - lse)
 
     def back(g):

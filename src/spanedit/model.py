@@ -305,9 +305,9 @@ class SpanCopyModel:
     ) -> Tensor:
         """hidden [B, K, d], ctx [B, n, C] -> attended state [B, K, d]."""
         hp = ad.matmul(hidden, self._p("attn.W_a"))  # [B, K, C]
-        scores = ad.bmm_t(hp, ctx)  # [B, K, n]
+        scores = ad.matmul(hp, ctx, transpose_b=True)  # [B, K, n]
         weights = ad.softmax(scores, axis=-1)
-        pooled = ad.bmm(weights, ctx)  # [B, K, C]
+        pooled = ad.matmul(weights, ctx)  # [B, K, C]
         mixed = ad.concat([pooled, hidden], 2)
         ht = ad.tanh(
             ad.add(ad.matmul(mixed, self._p("attn.W_c"), transpose_b=True), self._p("attn.b_c"))
@@ -345,7 +345,7 @@ class SpanCopyModel:
         all spans in via a cumulative log-sum-exp over start scores, which
         keeps the whole step linear in n.
         """
-        a, c = (ad.bmm_t(ht, p) for p in proj)  # [B, K, n] each
+        a, c = (ad.matmul(ht, p, transpose_b=True) for p in proj)  # [B, K, n] each
         vs = self.vocab_scores(ht)  # [B, K, V]
         vocab_lse = ad.logsumexp(vs, axis=-1, keepdims=True)
         if self.config.max_copy_len == 1:

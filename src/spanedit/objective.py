@@ -34,9 +34,10 @@ longest matching copy.
 
 Batches group examples of identical (len(x), len(y)) shape, so no padding or
 length masks ever enter the math.  A bucket's gather indices are built as
-arrays from the pairs' match tables (`build_bucket`), with no action objects;
-`correct_actions` and `matching_spans` give the same sets as `Gen`/`Copy`
-lists for the oracle and for callers, and the tests pin one to the other.
+arrays from the pairs' match tables (`build_bucket`), with no action objects.
+The same correct-action sets as `Gen`/`Copy` lists are the oracle's
+(`oracle.correct_actions`, built on this module's match tables), and the
+tests pin the two routes to each other.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ import numpy as np
 from . import autodiff as ad
 from . import search
 from .autodiff import Tensor
-from .corpus import EOS_ID, START_ID, UNK_ID, EditExample, Vocab, mix64
-from .model import Action, Copy, Gen, SpanCopyModel
+from .corpus import EOS_ID, START_ID, EditExample, Vocab, mix64
+from .model import SpanCopyModel
 
 OBJECTIVES = ("marginal", "multi_hot", "longest_copy")
 
@@ -64,7 +65,7 @@ class DivergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Correct actions
+# Match tables
 
 
 def _codes(seqs: Sequence[Sequence[str]], codes: dict[str, int]) -> np.ndarray:
@@ -74,8 +75,9 @@ def _codes(seqs: Sequence[Sequence[str]], codes: dict[str, int]) -> np.ndarray:
 
 
 def _match_tables(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """`match_table` of B pairs at once: codes xs [B, n], ys [B, m] ->
-    [B, n + 1, m + 1].  One numpy op per row of x."""
+    """Match tables of B pairs at once: codes xs [B, n], ys [B, m] ->
+    [B, n + 1, m + 1], where table[b, i, k] is the length of the longest
+    common prefix of x_b[i:] and y_b[k:].  One numpy op per row of x."""
     bsz, n = xs.shape
     m = ys.shape[1]
     eq = xs[:, :, None] == ys[:, None, :]
@@ -83,60 +85,6 @@ def _match_tables(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         table[:, i, :m] = eq[:, i] * (table[:, i + 1, 1:] + 1)
     return table
-
-
-def match_table(x: Sequence[str], y: Sequence[str]) -> np.ndarray:
-    """table[i, k] = length of the longest common prefix of x[i:] and y[k:]."""
-    codes: dict[str, int] = {}
-    return _match_tables(_codes([x], codes), _codes([y], codes))[0]
-
-
-def matching_spans(
-    x: Sequence[str],
-    y: Sequence[str],
-    k: int,
-    max_copy_len: int | None = None,
-    table: np.ndarray | None = None,
-) -> list[Copy]:
-    """All spans of x equal to a prefix of y[k:], as Copy actions."""
-    if table is None:
-        table = match_table(x, y)
-    m = len(y)
-    out: list[Copy] = []
-    for i in range(len(x)):
-        top = min(int(table[i, k]), m - k)
-        if max_copy_len is not None:
-            top = min(top, max_copy_len)
-        for length in range(1, top + 1):
-            out.append(Copy(i, i + length))
-    return out
-
-
-def correct_actions(
-    x: Sequence[str],
-    y: Sequence[str],
-    vocab: Vocab,
-    k: int,
-    max_copy_len: int | None = None,
-    table: np.ndarray | None = None,
-) -> list[Action]:
-    """Actions at position k that keep the produced tokens a prefix of y.
-
-    Never empty: an in-vocab target always has its Gen, an out-of-vocab
-    target is either copyable from x or falls back to Gen(UNK).  The Gen, if
-    any, comes first."""
-    if not 0 <= k <= len(y):
-        raise ValueError(f"position {k} outside [0, {len(y)}]")
-    if k == len(y):
-        return [Gen(EOS_ID)]
-    copies = matching_spans(x, y, k, max_copy_len, table)
-    gens: list[Action] = []
-    gold = y[k]
-    if gold in vocab:
-        gens.append(Gen(vocab.lookup(gold)))
-    elif not copies:
-        gens.append(Gen(UNK_ID))
-    return gens + copies
 
 
 # ---------------------------------------------------------------------------

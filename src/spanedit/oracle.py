@@ -6,7 +6,10 @@ sum the probabilities.  The result must agree with the suffix-DP training
 objective to floating-point accuracy, and with the scores of an unpruned
 merging beam search.  It shares the model's encoder, decoder states, attention
 and vocab scores, but normalizes its own full [n, n] span matrix by one joint
-softmax, so agreement also checks the model's factored normalizer.
+softmax, so agreement also checks the model's factored normalizer.  The
+correct actions it enumerates are `Gen`/`Copy` objects from one match table
+per pair (`correct_actions`); training builds the same sets as arrays
+(`objective.build_bucket`), and the tests pin the two to each other.
 """
 
 from __future__ import annotations
@@ -16,11 +19,65 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Vocab
-from .model import Action, EncoderOutputs, Gen, SpanCopyModel, action_len
-from .objective import correct_actions, match_table
+from .corpus import EOS_ID, UNK_ID, Vocab
+from .model import Action, Copy, EncoderOutputs, Gen, SpanCopyModel, action_len
+from .objective import _codes, _match_tables
 
 MAX_SIDE = 12
+
+
+def match_table(x: Sequence[str], y: Sequence[str]) -> np.ndarray:
+    """table[i, k] = length of the longest common prefix of x[i:] and y[k:]."""
+    codes: dict[str, int] = {}
+    return _match_tables(_codes([x], codes), _codes([y], codes))[0]
+
+
+def matching_spans(
+    x: Sequence[str],
+    y: Sequence[str],
+    k: int,
+    max_copy_len: int | None = None,
+    table: np.ndarray | None = None,
+) -> list[Copy]:
+    """All spans of x equal to a prefix of y[k:], as Copy actions."""
+    if table is None:
+        table = match_table(x, y)
+    m = len(y)
+    out: list[Copy] = []
+    for i in range(len(x)):
+        top = min(int(table[i, k]), m - k)
+        if max_copy_len is not None:
+            top = min(top, max_copy_len)
+        for length in range(1, top + 1):
+            out.append(Copy(i, i + length))
+    return out
+
+
+def correct_actions(
+    x: Sequence[str],
+    y: Sequence[str],
+    vocab: Vocab,
+    k: int,
+    max_copy_len: int | None = None,
+    table: np.ndarray | None = None,
+) -> list[Action]:
+    """Actions at position k that keep the produced tokens a prefix of y.
+
+    Never empty: an in-vocab target always has its Gen, an out-of-vocab
+    target is either copyable from x or falls back to Gen(UNK).  The Gen, if
+    any, comes first."""
+    if not 0 <= k <= len(y):
+        raise ValueError(f"position {k} outside [0, {len(y)}]")
+    if k == len(y):
+        return [Gen(EOS_ID)]
+    copies = matching_spans(x, y, k, max_copy_len, table)
+    gens: list[Action] = []
+    gold = y[k]
+    if gold in vocab:
+        gens.append(Gen(vocab.lookup(gold)))
+    elif not copies:
+        gens.append(Gen(UNK_ID))
+    return gens + copies
 
 
 def enumerate_action_sequences(

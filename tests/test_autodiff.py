@@ -10,6 +10,22 @@ def t(data, grad=True):
     return ad.Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
+def narrow(x, axis, start, length):
+    """The slice [start, start + length) of x along `axis`, as a tape node
+    whose gradient is zero outside the slice; the composed references below
+    take their steps and gates apart with it."""
+    sl = [slice(None)] * x.ndim
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
+
+    def back(g):
+        gx = np.zeros_like(x.data)
+        gx[sl] = g
+        ad._acc(x, gx)
+
+    return ad._make(x.data[sl], (x,), back)
+
+
 def test_square_gradient():
     x = t(3.0)
     loss = ad.mul(x, x)
@@ -100,7 +116,7 @@ def test_masked_fill_blocks_weight_and_gradient():
     probs = out.data
     assert probs[1] == 0.0
     assert probs.sum() == pytest.approx(1.0)
-    ad.backward(ad.reduce_sum(ad.narrow(out, 0, 0, 1)))
+    ad.backward(ad.reduce_sum(narrow(out, 0, 0, 1)))
     assert x.grad_array()[1] == 0.0
 
 
@@ -182,6 +198,65 @@ def test_linear_gradcheck(rng):
     assert ad.grad_check(f, params, eps=1e-6) < 5e-7
 
 
+def matmul_reference(a, b, g, transpose_b):
+    """Forward and both gradients of a @ b (a @ b^T with transpose_b) by
+    np.einsum, for a [K, N] or [B, K, N] against b [N, C] or [B, N, C]."""
+    lhs = "bkn"[3 - a.ndim :]
+    rhs = "b" * (b.ndim == 3) + ("cn" if transpose_b else "nc")
+    out = lhs.replace("n", "c")
+    return (
+        np.einsum(f"{lhs},{rhs}->{out}", a, b),
+        np.einsum(f"{out},{rhs}->{lhs}", g, b),
+        np.einsum(f"{lhs},{out}->{rhs}", a, g),
+    )
+
+
+MATMUL_FORMS = {  # (a's shape, b's shape with no transpose), N = 3
+    "KN@NC": ((4, 3), (3, "C")),
+    "BKN@NC": ((2, 4, 3), (3, "C")),
+    "BKN@BNC": ((2, 4, 3), (2, 3, "C")),
+}
+MATMUL_TOL = {np.float64: 1e-12, np.float32: 1e-5}  # relative and absolute
+
+
+@pytest.mark.parametrize("form", MATMUL_FORMS)
+@pytest.mark.parametrize("transpose_b", [False, True])
+@pytest.mark.parametrize("width", [5, 3], ids=["C5", "C3"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_matmul_matches_einsum_reference(rng, form, transpose_b, width, dtype):
+    a_shape, b_shape = MATMUL_FORMS[form]
+    b_shape = tuple(width if s == "C" else s for s in b_shape)
+    if transpose_b:
+        b_shape = b_shape[:-2] + b_shape[:-3:-1]
+    a = ad.Tensor(rng.normal(size=a_shape).astype(dtype), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=b_shape).astype(dtype), requires_grad=True)
+    out = ad.matmul(a, b, transpose_b=transpose_b)
+    g = rng.normal(size=out.shape).astype(dtype)
+    ad.backward(ad.reduce_sum(ad.mul(out, g)))
+    want = matmul_reference(a.data, b.data, g, transpose_b)
+    for got, ref in zip((out.data, a.grad, b.grad), want):
+        assert got.dtype == dtype and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=MATMUL_TOL[dtype], atol=MATMUL_TOL[dtype])
+    if dtype == np.float64 and a.ndim == 3:
+        params = {"a": a, "b": b}
+
+        def f():
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.matmul(a, b, transpose_b=transpose_b)), g))
+
+        assert ad.grad_check(f, params, eps=1e-6) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((3,), (3, 4)), ((4, 3), (2, 3, 4)), ((2, 4, 3), (1, 2, 3, 4)), ((2, 4, 3), (1, 3, 4))],
+    ids=["rank1_a", "rank3_b_rank2_a", "rank4_b", "batch_sizes_differ"],
+)
+def test_matmul_rejects_other_ranks(rng, a_shape, b_shape):
+    a, b = t(rng.normal(size=a_shape)), t(rng.normal(size=b_shape))
+    with pytest.raises(ValueError):
+        ad.matmul(a, b)
+
+
 def sigmoid(t):
     """Logistic op: the reference the fused GRU kernel is checked against."""
     out = 1.0 / (1.0 + np.exp(-t.data))
@@ -218,7 +293,7 @@ def composed_gru_sequence(x, h0, w, u, b, reverse):
     B, T, E = x.shape
     H = h0.shape[1]
     gate = {
-        (kind, g): ad.narrow(p, 0, i * H, H) for kind, p in zip("WUb", (w, u, b)) for i, g in enumerate("zrn")
+        (kind, g): narrow(p, 0, i * H, H) for kind, p in zip("WUb", (w, u, b)) for i, g in enumerate("zrn")
     }
 
     def lin(xt, h, g):
@@ -230,7 +305,7 @@ def composed_gru_sequence(x, h0, w, u, b, reverse):
     h = h0
     states = [None] * T
     for step in reversed(range(T)) if reverse else range(T):
-        xt = ad.reshape(ad.narrow(x, 1, step, 1), (B, E))
+        xt = ad.reshape(narrow(x, 1, step, 1), (B, E))
         z = sigmoid(lin(xt, h, "z"))
         r = sigmoid(lin(xt, h, "r"))
         n = ad.tanh(
@@ -250,7 +325,7 @@ def composed_directions(p):
     H = p["U0"].shape[1]
     return ad.concat(
         [
-            composed_gru_sequence(p["x"], ad.narrow(p["h0"], 1, d * H, H), w, u, b, reverse=d == 1)
+            composed_gru_sequence(p["x"], narrow(p["h0"], 1, d * H, H), w, u, b, reverse=d == 1)
             for d, (w, u, b) in enumerate(directions(p))
         ],
         2,
@@ -317,11 +392,11 @@ def composed_marginal_dp(lq, hop):
     bsz, k_steps, edges = lq.shape
     cols = ad.Tensor(np.zeros((bsz, 1), dtype=lq.dtype))
     for k in range(k_steps - 1, -1, -1):
-        lq_k = ad.reshape(ad.narrow(lq, 1, k, 1), (bsz, edges))
+        lq_k = ad.reshape(narrow(lq, 1, k, 1), (bsz, edges))
         terms = ad.add(lq_k, ad.take_last(cols, hop[:, k, :] - 1))
         t_k = ad.logsumexp(terms, axis=-1, keepdims=True)
         cols = ad.concat([t_k, cols], 1)
-    return ad.reshape(ad.narrow(cols, 1, 0, 1), (bsz,))
+    return ad.reshape(narrow(cols, 1, 0, 1), (bsz,))
 
 
 DP_CASES = (
@@ -438,7 +513,7 @@ def test_concat_narrow_roundtrip(rng):
     a = t(rng.normal(size=(2, 3)))
     b = t(rng.normal(size=(2, 2)))
     joined = ad.concat([a, b], axis=1)
-    back = ad.narrow(joined, 1, 0, 3)
+    back = narrow(joined, 1, 0, 3)
     ad.backward(ad.reduce_sum(ad.mul(back, back)))
     assert np.allclose(a.grad_array(), 2 * a.data)
     assert np.array_equal(b.grad_array(), np.zeros_like(b.data))
