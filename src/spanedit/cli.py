@@ -1,10 +1,13 @@
 """Command line interface.
 
 Subcommands: gen-data, train, decode, eval, stats.  Every option can also be
-supplied through a flat key=value config file (--config); explicit flags win
-over the file, the file wins over defaults.  The effective option set is
-hashed and stamped into output sidecars and checkpoints so artifacts can be
-traced back to the exact configuration that produced them.
+supplied through a flat key=value config file (--config), where a `#` that
+opens a line or follows whitespace starts a comment; explicit flags win over
+the file, the file wins over defaults.  A train option named after a
+ModelConfig or TrainConfig field takes that field's default, as
+`Adam(params, lr, clip_norm)` takes TrainConfig's.  The effective option set
+is hashed and stamped into output sidecars and checkpoints so artifacts can
+be traced back to the exact configuration that produced them.
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 invalid data or configuration,
 4 training divergence.  Log verbosity comes from SPANEDIT_LOG
@@ -18,8 +21,9 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,7 +43,7 @@ from .corpus import (
     write_corpus,
 )
 from .metrics import evaluate, span_length_stats, write_histogram_csv
-from .model import Gen, ModelConfig, ModelError, SpanCopyModel
+from .model import PRECISIONS, Gen, ModelConfig, ModelError, SpanCopyModel
 from .objective import OBJECTIVES, DivergenceError, TrainConfig, train
 from .search import decode, greedy_decode
 
@@ -103,62 +107,69 @@ _GEN_OPTS = (
     Opt("out", str, None, "output directory for train/valid/test.jsonl", required=True),
 )
 
-_DECODERS = ("greedy", "beam_merged", "beam_merge_at_end")
+# A train option named after a ModelConfig or TrainConfig field (a `_knob`)
+# takes that field's default, so each training default is written once
+_CONFIG_DEFAULTS = {f.name: f.default for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+
+
+def _knob(name: str, type: Callable, help: str, **kw) -> Opt:
+    return Opt(name, type, _CONFIG_DEFAULTS[name], help, **kw)
+
 
 _TRAIN_OPTS = (
     Opt("data", str, None, "training corpus (JSONL)", required=True),
     Opt("out", str, None, "checkpoint output path", required=True),
     Opt("vocab_out", str, None, "vocab output path (default <out>.vocab)"),
     Opt("log", str, None, "training log path (JSONL, one record per epoch per split)"),
-    Opt("epochs", int, 10, "training epochs"),
-    Opt("batch_size", int, 32, "max examples per update"),
-    Opt("lr", float, 1e-3, "learning rate"),
-    Opt("clip_norm", float, 5.0, "global gradient norm clip"),
-    Opt("seed", int, 0, "shuffling and dropout seed"),
-    Opt("objective", str, "marginal", "training objective", choices=OBJECTIVES),
-    Opt("embed_dim", int, 64, "embedding size"),
-    Opt("enc_hidden", int, 64, "encoder hidden size per direction"),
-    Opt("enc_layers", int, 2, "encoder layers"),
-    Opt("dec_hidden", int, 64, "decoder hidden size"),
-    Opt("dropout", float, 0.2, "dropout rate"),
-    Opt("tie_embeddings", _parse_bool, True, "tie output projection to embeddings", is_flag=True),
-    Opt("max_copy_len", _parse_optional_int, None, "copy span cap: none or 1"),
-    Opt("precision", str, "float64", "parameter dtype", choices=("float32", "float64")),
-    Opt("init_seed", int, 0, "parameter init seed"),
+    _knob("epochs", int, "training epochs"),
+    _knob("batch_size", int, "max examples per update"),
+    _knob("lr", float, "learning rate"),
+    _knob("clip_norm", float, "global gradient norm clip"),
+    _knob("seed", int, "shuffling and dropout seed"),
+    _knob("objective", str, "training objective", choices=OBJECTIVES),
+    _knob("embed_dim", int, "embedding size"),
+    _knob("enc_hidden", int, "encoder hidden size per direction"),
+    _knob("enc_layers", int, "encoder layers"),
+    _knob("dec_hidden", int, "decoder hidden size"),
+    _knob("dropout", float, "dropout rate"),
+    _knob("tie_embeddings", _parse_bool, "tie output projection to embeddings", is_flag=True),
+    _knob("max_copy_len", _parse_optional_int, "copy span cap: none or 1"),
+    _knob("precision", str, "parameter dtype", choices=PRECISIONS),
+    _knob("init_seed", int, "parameter init seed"),
     Opt("vocab_size", int, 10000, "max vocabulary size"),
 )
 
-_DECODE_OPTS = (
+# the beam decoders and their merge modes
+_MERGES = {"beam_merged": "during", "beam_merge_at_end": "end"}
+
+# options that decode, eval and stats share
+_READ_OPTS = (
     Opt("model", str, None, "checkpoint path", required=True),
     Opt("vocab", str, None, "vocab path", required=True),
-    Opt("data", str, None, "corpus to decode (gen-data directory or JSONL file)"),
     Opt("split", str, "test", "corpus split", choices=("train", "valid", "test", "all")),
+    Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
+)
+_BEAM_SIZE = Opt("beam_size", int, 20, "beam width")
+
+_DECODE_OPTS = _READ_OPTS + (
+    Opt("data", str, None, "corpus to decode (gen-data directory or JSONL file)"),
     Opt("input", str, None, "decode one space-separated token sequence instead of a corpus"),
     Opt("out", str, "-", "output path, '-' for stdout"),
-    Opt("decoder", str, "beam_merged", "decoding strategy", choices=_DECODERS),
-    Opt("beam_size", int, 20, "beam width"),
-    Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
+    Opt("decoder", str, "beam_merged", "decoding strategy", choices=("greedy", *_MERGES)),
+    _BEAM_SIZE,
 )
 
-_EVAL_OPTS = (
-    Opt("model", str, None, "checkpoint path", required=True),
-    Opt("vocab", str, None, "vocab path", required=True),
+_EVAL_OPTS = _READ_OPTS + (
     Opt("data", str, None, "corpus to evaluate (gen-data directory or JSONL file)", required=True),
-    Opt("split", str, "test", "corpus split", choices=("train", "valid", "test", "all")),
     Opt("out", str, "-", "report path, '-' for stdout"),
-    Opt("decoder", str, "beam_merged", "decoding strategy", choices=("beam_merged", "beam_merge_at_end")),
-    Opt("beam_size", int, 20, "beam width"),
+    Opt("decoder", str, "beam_merged", "decoding strategy", choices=tuple(_MERGES)),
+    _BEAM_SIZE,
     Opt("k", int, 20, "rank cutoff for accuracy@k"),
-    Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
 )
 
-_STATS_OPTS = (
-    Opt("model", str, None, "checkpoint path", required=True),
-    Opt("vocab", str, None, "vocab path", required=True),
+_STATS_OPTS = _READ_OPTS + (
     Opt("data", str, None, "corpus to trace (gen-data directory or JSONL file)", required=True),
-    Opt("split", str, "test", "corpus split", choices=("train", "valid", "test", "all")),
     Opt("out", str, None, "span length histogram CSV path", required=True),
-    Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
 )
 
 _COMMANDS: dict[str, tuple[Opt, ...]] = {
@@ -196,7 +207,9 @@ def _read_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        # a comment starts at a '#' that opens the line or follows whitespace,
+        # so a value such as a path may hold one
+        body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not body:
             continue
         if "=" not in body:
@@ -284,18 +297,18 @@ def _load_model_vocab(opt: dict) -> tuple[SpanCopyModel, Vocab]:
     return model, vocab
 
 
+def _field_values(cls, opt: dict, **given) -> dict:
+    """Keyword arguments for the config dataclass `cls`: `given`, and every
+    other field from the option of its name."""
+    return {f.name: given[f.name] if f.name in given else opt[f.name] for f in fields(cls)}
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def _cmd_gen_data(opt: dict) -> int:
-    spec = TaskSpec(
-        kind=TaskKind(opt["task"]),
-        alphabet_size=opt["alphabet_size"],
-        min_len=opt["min_len"],
-        max_len=opt["max_len"],
-        seed=opt["seed"],
-    )
+    spec = TaskSpec(**_field_values(TaskSpec, opt, kind=opt["task"]))
     examples = generate_corpus(spec, opt["count"])
     out_dir = Path(opt["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -320,27 +333,8 @@ def _cmd_train(opt: dict) -> int:
     if not train_set:
         raise CorpusError(f"{opt['data']}: no training examples after the split")
     vocab = build_vocab(train_set, max_size=opt["vocab_size"])
-    model_cfg = ModelConfig(
-        vocab_size=vocab.size,
-        embed_dim=opt["embed_dim"],
-        enc_hidden=opt["enc_hidden"],
-        enc_layers=opt["enc_layers"],
-        dec_hidden=opt["dec_hidden"],
-        dropout=opt["dropout"],
-        tie_embeddings=opt["tie_embeddings"],
-        max_copy_len=opt["max_copy_len"],
-        precision=opt["precision"],
-        init_seed=opt["init_seed"],
-    )
-    train_cfg = TrainConfig(
-        epochs=opt["epochs"],
-        batch_size=opt["batch_size"],
-        lr=opt["lr"],
-        clip_norm=opt["clip_norm"],
-        seed=opt["seed"],
-        objective=opt["objective"],
-        log_path=opt["log"],
-    )
+    model_cfg = ModelConfig(**_field_values(ModelConfig, opt, vocab_size=vocab.size))
+    train_cfg = TrainConfig(**_field_values(TrainConfig, opt, log_path=opt["log"]))
     model = SpanCopyModel(model_cfg)
     logger.info(
         "training on %d examples (%d valid) for %d epochs, objective=%s",
@@ -372,25 +366,15 @@ def _trace_json(actions, vocab) -> list[dict]:
 def _decode_one(model, vocab, tokens: list[str], opt: dict) -> dict:
     if opt["decoder"] == "greedy":
         g = greedy_decode(model, vocab, tokens, opt["max_len"])
-        cands = [{
-            "tokens": list(g.tokens),
-            "log_prob": g.log_prob,
-            "finished": g.finished,
-            "rank": 1,
-        }]
-        return {"input": tokens, "candidates": cands, "trace": _trace_json(g.actions, vocab)}
-    merge = "during" if opt["decoder"] == "beam_merged" else "end"
-    result = decode(model, vocab, tokens, opt["beam_size"], opt["max_len"], merge)
+        ranked, extra = [(1, g)], {"trace": _trace_json(g.actions, vocab)}
+    else:
+        result = decode(model, vocab, tokens, opt["beam_size"], opt["max_len"], _MERGES[opt["decoder"]])
+        ranked, extra = [(c.rank, c) for c in result.candidates], {}
     cands = [
-        {
-            "tokens": list(c.tokens),
-            "log_prob": c.log_prob,
-            "finished": c.finished,
-            "rank": c.rank,
-        }
-        for c in result.candidates
+        {"tokens": list(c.tokens), "log_prob": c.log_prob, "finished": c.finished, "rank": rank}
+        for rank, c in ranked
     ]
-    return {"input": tokens, "candidates": cands}
+    return {"input": tokens, "candidates": cands, **extra}
 
 
 def _cmd_decode(opt: dict) -> int:
@@ -417,15 +401,20 @@ def _cmd_decode(opt: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(opt: dict) -> int:
-    model, vocab = _load_model_vocab(opt)
+def _load_nonempty_split(opt: dict) -> list[EditExample]:
+    """The --split of --data, refusing one that selects no examples."""
     examples = _load_split(opt["data"], opt["split"])
     if not examples:
         raise CorpusError(f"{opt['data']}: split {opt['split']!r} selected no examples")
+    return examples
+
+
+def _cmd_eval(opt: dict) -> int:
+    model, vocab = _load_model_vocab(opt)
+    examples = _load_nonempty_split(opt)
     report = evaluate(
         model, vocab, examples,
-        beam_size=opt["beam_size"], k=opt["k"], max_len=opt["max_len"],
-        merge="during" if opt["decoder"] == "beam_merged" else "end",
+        beam_size=opt["beam_size"], k=opt["k"], max_len=opt["max_len"], merge=_MERGES[opt["decoder"]],
     )
     if opt["out"] == "-":
         sys.stdout.write(report.to_json() + "\n")
@@ -441,9 +430,7 @@ def _cmd_eval(opt: dict) -> int:
 
 def _cmd_stats(opt: dict) -> int:
     model, vocab = _load_model_vocab(opt)
-    examples = _load_split(opt["data"], opt["split"])
-    if not examples:
-        raise CorpusError(f"{opt['data']}: split {opt['split']!r} selected no examples")
+    examples = _load_nonempty_split(opt)
     traces = [
         greedy_decode(model, vocab, list(ex.input), opt["max_len"]).actions for ex in examples
     ]

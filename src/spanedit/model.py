@@ -38,6 +38,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import PAD_ID, START_ID, SplitMix64, mix64
 
+PRECISIONS = ("float32", "float64")
+
 
 class ModelError(ValueError):
     """Invalid model configuration or checkpoint mismatch."""
@@ -68,8 +70,8 @@ class ModelConfig:
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.max_copy_len not in (None, 1):
             raise ModelError(f"max_copy_len must be None or 1, got {self.max_copy_len}")
-        if self.precision not in ("float32", "float64"):
-            raise ModelError(f"precision must be float32 or float64, got {self.precision!r}")
+        if self.precision not in PRECISIONS:
+            raise ModelError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
 
     @property
     def ctx_dim(self) -> int:

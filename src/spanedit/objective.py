@@ -38,6 +38,9 @@ arrays from the pairs' match tables (`build_bucket`), with no action objects.
 The same correct-action sets as `Gen`/`Copy` lists are the oracle's
 (`oracle.correct_actions`, built on this module's match tables), and the
 tests pin the two routes to each other.
+
+`Adam(params, lr, clip_norm)` has fixed moment decays (0.9, 0.999) and eps
+1e-8; `lr` and `clip_norm` default to `TrainConfig`'s.
 """
 
 from __future__ import annotations
@@ -280,63 +283,14 @@ def marginal_log_likelihood(
 
 
 # ---------------------------------------------------------------------------
-# Optimizer
+# Training configuration and optimizer
 
 
-class Adam:
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        clip_norm: float | None = 5.0,
-    ):
-        if not (lr >= 0 and math.isfinite(lr)):
-            raise ValueError(f"lr must be finite and >= 0, got {lr}")
-        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if clip_norm is not None and not clip_norm > 0:
-            raise ValueError(f"clip_norm must be > 0 or None, got {clip_norm}")
-        self.params = params
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
-        self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def zero_grad(self) -> None:
-        ad.zero_grad(self.params.values())
-
-    def step(self) -> float:
-        """One update; returns the global gradient norm before clipping."""
-        grads = {k: p.grad_array() for k, p in self.params.items()}
-        sq = sum(float((g * g).sum()) for g in grads.values())
-        if not math.isfinite(sq):
-            raise DivergenceError("non-finite gradient norm")
-        norm = math.sqrt(sq)
-        if self.clip_norm is not None and norm > self.clip_norm:
-            scale = self.clip_norm / norm
-            grads = {k: g * scale for k, g in grads.items()}
-        self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
-        for k, p in self.params.items():
-            g = grads[k]
-            m = self._m[k]
-            v = self._v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        return norm
-
-
-# ---------------------------------------------------------------------------
-# Training loop
+def _check_lr_and_clip(lr: float, clip_norm: float) -> None:
+    if not (lr >= 0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if clip_norm is None or not clip_norm > 0:
+        raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
 
 
 @dataclass(frozen=True)
@@ -354,12 +308,59 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr >= 0 and math.isfinite(self.lr)):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        _check_lr_and_clip(self.lr, self.clip_norm)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+class Adam:
+    def __init__(
+        self,
+        params: dict[str, Tensor],
+        lr: float = TrainConfig.lr,
+        clip_norm: float = TrainConfig.clip_norm,
+    ):
+        _check_lr_and_clip(lr, clip_norm)
+        self.params = params
+        self.lr = lr
+        self.clip_norm = clip_norm
+        self.t = 0
+        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def zero_grad(self) -> None:
+        ad.zero_grad(self.params.values())
+
+    def step(self) -> float:
+        """One update; returns the global gradient norm before clipping."""
+        grads = {k: p.grad_array() for k, p in self.params.items()}
+        sq = sum(float((g * g).sum()) for g in grads.values())
+        if not math.isfinite(sq):
+            raise DivergenceError("non-finite gradient norm")
+        norm = math.sqrt(sq)
+        if norm > self.clip_norm:
+            scale = self.clip_norm / norm
+            grads = {k: g * scale for k, g in grads.items()}
+        self.t += 1
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
+        for k, p in self.params.items():
+            g = grads[k]
+            m = self._m[k]
+            v = self._v[k]
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        return norm
+
+
+# ---------------------------------------------------------------------------
+# Training loop
 
 
 def greedy_exact_match(

@@ -1,5 +1,6 @@
 """End-to-end command line checks: artifacts, formats and exit codes."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanedit import SpanCopyModel
+from spanedit import ModelConfig, ModelError, SpanCopyModel, TrainConfig
 from spanedit.cli import _COMMANDS, config_hash, main
+from spanedit.model import PRECISIONS
 
 
 def run_cli(*argv):
@@ -303,6 +305,39 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert code == 0
     meta_b = json.loads((out_b / "meta.json").read_text())
     assert meta_b["options"]["count"] == 6
+
+
+def test_config_value_may_hold_hash(tmp_path):
+    # only a '#' that opens the line or follows whitespace starts a comment;
+    # cutting at the first '#' turned `data#v2` into `data`, another directory
+    out = tmp_path / "data#v2"
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"# corpus v2\ntask = insert\ncount = 8  # small\nout = {out}\n")
+    code, _ = run_cli("gen-data", "--config", str(cfg))
+    assert code == 0
+    assert (out / "meta.json").exists()
+    assert not (tmp_path / "data").exists()
+    assert json.loads((out / "meta.json").read_text())["options"]["count"] == 8
+
+
+def test_train_options_default_to_config_fields():
+    # each training knob's default is written once, on its config field
+    opts = {o.name: o for o in _COMMANDS["train"]}
+    config_fields = {
+        f.name: f
+        for cls, skip in ((ModelConfig, "vocab_size"), (TrainConfig, "log_path"))
+        for f in dataclasses.fields(cls)
+        if f.name != skip
+    }
+    for name, o in opts.items():
+        if name in config_fields:
+            assert o.default == config_fields[name].default, name
+    assert sorted(set(config_fields) - set(opts)) == []
+    assert opts["precision"].choices == PRECISIONS
+    for precision in PRECISIONS:
+        ModelConfig(vocab_size=8, precision=precision)
+    with pytest.raises(ModelError, match="precision"):
+        ModelConfig(vocab_size=8, precision="float16")
 
 
 def test_config_hash_stable_and_order_free():

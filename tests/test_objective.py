@@ -369,7 +369,9 @@ def test_clip_norm_must_be_positive():
             se.Adam(model.params, clip_norm=bad)
         with pytest.raises(ValueError, match="clip_norm"):
             se.TrainConfig(clip_norm=bad)
-    assert se.Adam(model.params, clip_norm=None).clip_norm is None
+    # Adam always clips: None is refused by name, not by a TypeError from None > 0
+    with pytest.raises(ValueError, match="clip_norm"):
+        se.Adam(model.params, clip_norm=None)
 
 
 def test_lr_must_be_finite_and_nonnegative():
