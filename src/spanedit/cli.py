@@ -387,7 +387,7 @@ def _cmd_decode(opt: dict) -> int:
             raise CorpusError("--input is empty")
         inputs = [tokens]
     else:
-        inputs = [list(ex.input) for ex in _load_split(opt["data"], opt["split"])]
+        inputs = [list(ex.input) for ex in _load_nonempty_split(opt)]
     rows = [_decode_one(model, vocab, toks, opt) for toks in inputs]
     if opt["out"] == "-":
         for row in rows:

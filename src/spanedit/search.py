@@ -10,13 +10,17 @@ the state of its group's first member: states settled in batches of
 different shapes can differ in the last bits, so the merge picks one member's
 state rather than assuming that all members' states are bitwise equal.
 
-Copies emit several tokens at once, which desynchronizes ray lengths.  The
-beam therefore advances a token-count frontier: at frontier L it expands the
-unfinished rays holding exactly L tokens, while longer rays wait, then merges
-equal-token rays and prunes the whole pool back to the beam width.  The
-merge-at-end variant is the classic action-synchronous beam (one action per
-ray per round, no waiting, no merging) that only groups equal candidates
-after search; it exists as a baseline and is measurably worse.  Greedy
+Copies emit several tokens at once, which desynchronizes ray lengths, and a
+ray's mass is final only once no path can still reach its tokens.  A
+merging round therefore expands every unfinished ray within the length
+budget that no other unfinished ray is a proper prefix of (only such a
+prefix, or its successors, could add to its mass), while the other rays
+wait; then it merges equal-token rays and prunes the whole pool back to the
+beam width.  The shortest unfinished rays always expand, so rays of several
+lengths often grow in one round.  The merge-at-end variant is the classic
+action-synchronous beam (one action per ray per round, no waiting, no
+merging) that only groups equal candidates after search; it exists as a
+baseline and is measurably worse.  Greedy
 decoding is the merge-at-end beam at width 1, and its trace is the kept
 ray's action path.  All three share one length budget: an unfinished ray of
 at most max_len >= 0 tokens takes one more action.  Every action but EOS
@@ -35,10 +39,10 @@ Survivor rays are arrays (log-prob, length, finished flag, decoder state)
 plus the token tuples (and, without merging, the action paths) of at most
 beam-width rays.  A round scores the active rays in one call and pools their
 successors with the waiting rays.  The active rays of a merging round are
-distinct and all hold `step` tokens, so a successor is keyed exactly by
-(its parent, its action's class), and a waiting ray by the same key when an
-active ray and one action make its tokens; each group's mass is summed with
-one reduceat.  Every round prunes with a partial sort.  Token tuples are
+distinct and none is a prefix of another, so a successor is keyed exactly
+by (its parent, its action's class), and a waiting ray by the same key when
+an active ray and one action make its tokens; each group's mass is summed
+with one reduceat.  Every round prunes with a partial sort.  Token tuples are
 built only for merge events and for the groups at or above the k-th score,
 which get the exact (-score, tokens) tie-break.  Survivors are settled with one batched decoder
 step per pending token depth.
@@ -76,8 +80,9 @@ class DecodedCandidate:
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """step is the frontier at which rays merged, or -1 for the post-hoc
-    grouping pass of the merge-at-end variant."""
+    """step is the length of the shortest ray expanded in the round where
+    rays merged, or -1 for the post-hoc grouping pass of the merge-at-end
+    variant."""
 
     step: int
     tokens: tuple[str, ...]
@@ -262,25 +267,47 @@ def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
 _Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _frontier_groups(table: _ActionTable, rays: _Rays, pool: _Pool, step: int) -> _Groups:
+def _prefix_complete(rays: _Rays, open_: np.ndarray) -> np.ndarray:
+    """Which open (unfinished) rays have no other open ray as a proper
+    prefix.  Only such a prefix, or its successors, can still reach a ray's
+    tokens, so a prefix-complete ray's mass is final and it may grow."""
+    rows = open_.nonzero()[0].tolist()
+    opened = {rays.tokens[r] for r in rows}
+    lengths = sorted(set(rays.length[rows].tolist()))
+    complete = open_.copy()
+    for r in rows:
+        toks = rays.tokens[r]
+        complete[r] = not any(toks[:m] in opened for m in lengths if m < len(toks))
+    return complete
+
+
+def _frontier_groups(table: _ActionTable, rays: _Rays, pool: _Pool, grow: np.ndarray) -> _Groups:
     """Groups of equal (tokens, finished) in a merging round, by exact keys.
-    The active rays are distinct and hold `step` tokens each, so a successor
-    is keyed (parent, action class).  An unfinished waiting ray w outlived
-    the round that grew it, so its last action was a copy across `step`: it
-    equals successor (q, a) exactly when q holds w[:step] and a emits the
-    span w[step:], and takes that key when q exists.  Any other waiting ray
-    keeps (itself, -1), which no successor has; a finished one is shorter
-    than every successor."""
+    The active rays (mask grow) are distinct and prefix-free: none is a
+    prefix of another.  So two successors of different parents never emit
+    equal tokens (the shorter parent would be a prefix of the longer), and
+    a successor is keyed (parent, action class).  An unfinished waiting ray
+    w can equal only a successor of an active ray q that is a proper prefix
+    of w; at most one active ray is, and trying each active length finds
+    it.  w then equals successor (q, a) exactly when a emits w[len(q):].
+    That remainder is a suffix of the copy that made w (w's parent was
+    prefix-complete when it grew, so q is longer than it), so it has a copy
+    class.  Any other waiting ray keeps (itself, -1), which no successor
+    has.  A finished waiting ray ended a ray that grew earlier, whose tokens
+    no later ray can hold again, so no finished successor equals it."""
     key_parent, key_cls = pool.parent.copy(), table.cls[pool.action]
     waiting = ((pool.action < 0) & ~pool.finished).nonzero()[0]
     if waiting.size:
-        grow = (~rays.finished & (rays.length == step)).nonzero()[0]
-        active = {rays.tokens[r]: r for r in grow.tolist()}
+        rows = grow.nonzero()[0].tolist()
+        active = {rays.tokens[r]: r for r in rows}
+        lengths = sorted(set(rays.length[rows].tolist()))
         for p in waiting.tolist():
             toks = rays.tokens[pool.parent[p]]
-            q = active.get(toks[:step])
-            if q is not None:
-                key_parent[p], key_cls[p] = q, table.copy_class(toks[step:])
+            for m in lengths:
+                q = active.get(toks[:m]) if m < len(toks) else None
+                if q is not None:
+                    key_parent[p], key_cls[p] = q, table.copy_class(toks[m:])
+                    break
     order = np.lexsort((key_cls, key_parent))
     kp, kc = key_parent[order], key_cls[order]
     return (order, *_runs((kp[1:] != kp[:-1]) | (kc[1:] != kc[:-1])))
@@ -312,9 +339,13 @@ def _next_rays(
     pool: _Pool,
     beam_size: int,
     merge_step: int | None,
+    grow: np.ndarray | None,
     events: list[MergeEvent],
 ) -> _Rays:
-    """Merge (unless merge_step is None), prune to beam_size and settle."""
+    """Merge, prune to beam_size and settle.  merge_step is None for a round
+    that does not merge, -1 for the post-hoc grouping, and otherwise the
+    shortest length among a merging round's active rays, whose mask is
+    grow."""
     parent_l, action_l = pool.parent.tolist(), pool.action.tolist()
     finished_l = pool.finished.tolist()
     memo: dict[int, tuple[str, ...]] = {}
@@ -344,7 +375,7 @@ def _next_rays(
         if merge_step < 0:
             order, starts, sizes = _exact_groups(pool, tokens_of)
         else:
-            order, starts, sizes = _frontier_groups(table, rays, pool, merge_step)
+            order, starts, sizes = _frontier_groups(table, rays, pool, grow)
         rep = order[starts]
         score = np.logaddexp.reduceat(pool.log_prob[order], starts)
         multi = (sizes > 1).nonzero()[0]
@@ -417,36 +448,30 @@ def _beam_search(
             tokens=[()],
             paths=None if merge else [()],
         )
-        # Every grown ray gains a token or finishes, so after r rounds no
-        # unfinished ray is shorter than r: both modes stop by round
-        # max_len + 1.
+        # Every round grows the shortest unfinished rays (no other ray is a
+        # proper prefix of them), and every grown ray gains a token or
+        # finishes, so after r rounds no unfinished ray is shorter than r:
+        # both modes stop by round max_len + 1.
         for rounds in range(max_len + 2):
             open_ = ~rays.finished
-            step = None
+            grow = open_ & (rays.length <= max_len)
             if merge:
-                if not open_.any():
-                    break
-                # No unfinished ray is shorter than the frontier.
-                step = int(rays.length[open_].min())
-                if step > max_len:
-                    break
-                grow = open_ & (rays.length == step)
-            else:
-                grow = open_ & (rays.length <= max_len)
-                if not grow.any():
-                    break
+                grow &= _prefix_complete(rays, open_)
+            if not grow.any():
+                break
             if rounds > max_len:
                 raise RuntimeError(
                     f"search did not end in {max_len + 1} rounds: an action of length 0 scored finite"
                 )
+            step = int(rays.length[grow].min()) if merge else None
             pool = _expand(model, enc, proj, rays, grow)
-            rays = _next_rays(model, table, rays, pool, beam_size, step, events)
+            rays = _next_rays(model, table, rays, pool, beam_size, step, grow, events)
         count = len(rays.tokens)
         if not merge and count > 1:
             # Post-hoc grouping of the final rays, all waiting; nothing is
             # pruned, and a single ray has nothing to merge with.
             pool = _Pool(np.arange(count), np.full(count, -1), rays.log_prob, rays.finished)
-            rays = _next_rays(model, table, rays, pool, count, -1, events)
+            rays = _next_rays(model, table, rays, pool, count, -1, None, events)
     return rays, events
 
 
@@ -467,7 +492,8 @@ def beam_decode(
     beam_size: int,
     max_len: int | None = None,
 ) -> BeamResult:
-    """Token-frontier beam search with exact ray merging.
+    """Beam search with exact ray merging: each round expands the unfinished
+    rays that no other unfinished ray is a proper prefix of.
 
     Every reachable action is scored (no per-ray shortlist), merging runs
     over the whole pool before pruning, and ties in the prune break toward

@@ -291,6 +291,25 @@ def test_decode_bare_jsonl_corpus(trained_artifacts, corpus_dir, tmp_path):
     assert out.strip()
 
 
+@pytest.mark.parametrize("command", ["decode", "eval", "stats"])
+def test_empty_split_is_refused(trained_artifacts, tmp_path, command):
+    # an 8-example corpus splits 7/0/1, so its valid split is empty; decode
+    # used to exit 0 with an empty output file
+    model, vocab, _ = trained_artifacts
+    data = tmp_path / "small"
+    code, _ = run_cli("gen-data", "--task", "insert", "--count", "8", "--out", str(data))
+    assert code == 0
+    assert (data / "valid.jsonl").read_text() == ""
+    out = tmp_path / "out"
+    code, text = run_cli(
+        command, "--model", str(model), "--vocab", str(vocab),
+        "--data", str(data), "--split", "valid", "--out", str(out),
+    )
+    assert code == 3
+    assert text == ""
+    assert not out.exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("task = insert\ncount = 12\nseed = 5  # comment\nmin_len = 5\nmax_len = 6\n")

@@ -209,12 +209,15 @@ def _signature(result):
     )
 
 
-def reference_beam(model, vocab, x, beam_size, max_len, merge):
+def reference_beam(model, vocab, x, beam_size, max_len, merge, shortest_only=False):
     """Object-per-ray beam, one decoder_advance per fed token: the plain
     loop the array core replaced, kept as its reference.  A ray is [tokens
     (with a trailing EOS once finished), log_prob, state, pending feed ids,
     finished, flat action path]; each candidate is (tokens, log_prob,
-    finished, rank, path of its group's first member)."""
+    finished, rank, path of its group's first member).  A merging round
+    expands every unfinished ray within the budget that no other unfinished
+    ray is a proper prefix of; shortest_only keeps just the shortest of
+    them, the order the beam used to search in."""
     n, v = len(x), model.config.vocab_size
     events = []
 
@@ -258,22 +261,22 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge):
         enc = model.encode_batch([vocab.ids(x)])
         proj = model.span_projections(enc.contextual)
         rays = [[(), 0.0, model.initial_state(enc), (), False, ()]]
-        frontier = 0
         while True:
+            open_ = [r[0] for r in rays if not r[4]]
+            active = [r for r in rays if not r[4] and len(r[0]) <= max_len]
             if merge:
-                if frontier > max_len or all(r[4] for r in rays):
-                    break
-                active = [r for r in rays if not r[4] and len(r[0]) == frontier]
-                frontier += 1
-                if not active:
-                    continue
-            else:
-                active = [r for r in rays if not r[4] and len(r[0]) <= max_len]
-                if not active:
-                    break
+                active = [
+                    r for r in active
+                    if not any(len(o) < len(r[0]) and r[0][: len(o)] == o for o in open_)
+                ]
+                step = min((len(r[0]) for r in active), default=None)
+                if shortest_only:
+                    active = [r for r in active if len(r[0]) == step]
+            if not active:
+                break
             pool = [r for r in rays if not any(r is a for a in active)] + successors(enc, proj, active)
             if merge:
-                pool = merged(pool, frontier - 1)
+                pool = merged(pool, step)
             pool.sort(key=lambda r: (-r[1], r[0]) + (() if merge else (r[5],)))
             rays = pool[:beam_size]
             settle(rays)
@@ -317,6 +320,32 @@ def test_array_core_matches_oracle_and_reference(seed, precision, x, max_len):
                 assert _signature(normal) == ([(t, f, r) for t, _, f, r, _ in cands], events)
                 for c, (_, lp, _, _, _) in zip(normal.candidates, cands):
                     assert c.log_prob == pytest.approx(lp, abs=1e-9)
+
+
+def order_cases(count=120):
+    """Fixed random merged-beam cases (seed, input, width): random models
+    over 3 letters, 3-8 input tokens, widths 2-10 and max_len = n + 3."""
+    rng = np.random.default_rng(2026)
+    for _ in range(count):
+        seed, n = int(rng.integers(2**16)), int(rng.integers(3, 9))
+        yield seed, tuple(rng.choice(["a", "b", "c"], n).tolist()), int(rng.choice([2, 3, 5, 10]))
+
+
+def test_merged_beam_follows_the_reference_search_order():
+    # in 34 of these 120 cases, growing only the shortest rays each round
+    # keeps other candidates, so the cases pin which rays a round grows
+    reordered = 0
+    for seed, x, width in order_cases():
+        model, vocab = small_model(seed=seed)
+        result = se.beam_decode(model, vocab, x, beam_size=width, max_len=len(x) + 3)
+        cands, events = reference_beam(model, vocab, x, width, len(x) + 3, True)
+        want = [(t, f, r) for t, _, f, r, _ in cands]
+        assert _signature(result) == (want, events)
+        for c, (_, lp, _, _, _) in zip(result.candidates, cands):
+            assert c.log_prob == pytest.approx(lp, abs=1e-9)
+        shortest, _ = reference_beam(model, vocab, x, width, len(x) + 3, True, shortest_only=True)
+        reordered += [(t, f, r) for t, _, f, r, _ in shortest] != want
+    assert reordered >= 20
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -394,12 +423,12 @@ def _groups(grouping):
 def check_frontier_groups(monkeypatch):
     """Make every merging round check its keyed groups against grouping the
     same pool by exact (tokens, finished) tuples; returns the list of the
-    checked rounds' steps."""
+    checked rounds' sets of active ray lengths."""
     rounds = []
     keyed = search._frontier_groups
 
-    def checked(table, rays, pool, step):
-        got = keyed(table, rays, pool, step)
+    def checked(table, rays, pool, grow):
+        got = keyed(table, rays, pool, grow)
         parent, action = pool.parent.tolist(), pool.action.tolist()
 
         def tokens_of(p):
@@ -407,7 +436,7 @@ def check_frontier_groups(monkeypatch):
             return toks + table.surfaces(action[p]) if action[p] >= 0 else toks
 
         assert _groups(got) == _groups(search._exact_groups(pool, tokens_of))
-        rounds.append(step)
+        rounds.append(set(rays.length[grow].tolist()))
         return got
 
     monkeypatch.setattr(search, "_frontier_groups", checked)
@@ -422,18 +451,26 @@ def check_frontier_groups(monkeypatch):
     x=st.lists(st.sampled_from(["a", "a", "b", "c", "zz", "qq"]), min_size=1, max_size=7),
     max_len=st.integers(0, 5),
 )
-def test_frontier_keys_group_as_exact_tokens(seed, precision, cap, x, max_len):
-    # the (parent, class) keys partition every merging round's pool exactly
-    # as its (tokens, finished) tuples do, with the same representatives
+def keyed_rounds(all_rounds, seed, precision, cap, x, max_len):
     vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b", "c"])
     model = random_params_model(
         vocab, np.random.default_rng(seed), precision=precision, max_copy_len=cap
     )
     with pytest.MonkeyPatch.context() as mp:
         rounds = check_frontier_groups(mp)
-        for width in (1, 3, 100_000):
+        for width in (1, 2, 3, 5, 100_000):
             se.beam_decode(model, vocab, tuple(x), beam_size=width, max_len=max_len)
     assert rounds
+    all_rounds.extend(rounds)
+
+
+def test_frontier_keys_group_as_exact_tokens():
+    # the (parent, class) keys partition every merging round's pool exactly
+    # as its (tokens, finished) tuples do, with the same representatives,
+    # also in rounds that grow rays of several lengths
+    rounds = []
+    keyed_rounds(rounds)
+    assert any(len(lengths) >= 2 for lengths in rounds)
 
 
 ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmarks" / "artifacts"
@@ -456,6 +493,7 @@ def test_frontier_keys_group_as_exact_tokens_on_the_frozen_checkpoint(monkeypatc
     for x in inputs:
         se.beam_decode(model, vocab, x, beam_size=20)
     assert len(rounds) > 207
+    assert any(len(lengths) >= 2 for lengths in rounds)
 
 
 @pytest.mark.parametrize("decoder", [se.greedy_decode, se.beam_decode_merge_at_end])
