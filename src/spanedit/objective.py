@@ -41,6 +41,18 @@ tests pin the two routes to each other.
 
 `Adam(params, lr, clip_norm)` has fixed moment decays (0.9, 0.999) and eps
 1e-8; `lr` and `clip_norm` default to `TrainConfig`'s.
+
+Validation runs the same teacher-forced pass once per valid bucket, with no
+gradient, and reads three numbers off it.  The loss is the objective's.
+`exact_match` is the share of pairs whose `search.greedy_decode` (default
+budget) finishes with exactly y, and `actions_per_output` the mean count of
+emitting actions (EOS not counted) over those hits, None with no hit.  No
+decode runs: the decoder state is a function of the token prefix, so
+greedy's state after emitting y[:k] is the teacher-forced state at k, and
+greedy reproduces y exactly when, at each position its walk along y
+reaches, its argmax action (with its tie-break) emits the next tokens of y,
+and at k = m is EOS (`_greedy_walk`).  `greedy_exact_match` is the same
+walk for any pairs.
 """
 
 from __future__ import annotations
@@ -57,8 +69,8 @@ import numpy as np
 from . import autodiff as ad
 from . import search
 from .autodiff import Tensor
-from .corpus import EOS_ID, START_ID, EditExample, Vocab, mix64
-from .model import SpanCopyModel
+from .corpus import EOS_ID, START_ID, UNK_ID, EditExample, Vocab, mix64
+from .model import SpanCopyModel, _forbidden_spans
 
 OBJECTIVES = ("marginal", "multi_hot", "longest_copy")
 
@@ -210,15 +222,20 @@ def build_bucket(
     return Bucket(x_ids, dec_in, gen_ids, copy_i, copy_jm1, ok, longest)
 
 
+def _shape_groups(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[list]:
+    """The pairs grouped by (len(x), len(y)), in sorted shape order."""
+    groups: dict[tuple[int, int], list] = {}
+    for x, y in pairs:
+        groups.setdefault((len(x), len(y)), []).append((x, y))
+    return [groups[key] for key in sorted(groups)]
+
+
 def build_buckets(
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     vocab: Vocab,
     max_copy_len: int | None = None,
 ) -> list[Bucket]:
-    groups: dict[tuple[int, int], list] = {}
-    for x, y in pairs:
-        groups.setdefault((len(x), len(y)), []).append((x, y))
-    return [build_bucket(groups[key], vocab, max_copy_len) for key in sorted(groups)]
+    return [build_bucket(group, vocab, max_copy_len) for group in _shape_groups(pairs)]
 
 
 def pairs_of(examples: Sequence[EditExample]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -229,19 +246,28 @@ def pairs_of(examples: Sequence[EditExample]) -> list[tuple[tuple[str, ...], tup
 # Objectives
 
 
-def _gathered_scores(
+_Components = tuple[Tensor, Tensor, Tensor, Tensor]
+
+
+def _components(
     model: SpanCopyModel,
     bucket: Bucket,
-    train: bool,
-    rng: np.random.Generator | None,
-) -> Tensor:
-    """Log probabilities of every correct action as the edge array
-    [B, K, 1 + C] (edge 0 the Gen, edges 1..C the copy slots), batched;
-    absent edges hold -inf and carry no gradient."""
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> _Components:
+    """The teacher-forced pass: `score_components` (vs, a, c, z) at every
+    position of every row, [B, K, ...]."""
     enc = model.encode_batch(bucket.x_ids, train, rng)
     states = model.forced_states(enc.summary, bucket.dec_in)
     ht = model.attend_batch(states, enc.contextual, train, rng)
-    vs, a, c, z = model.score_components(ht, model.span_projections(enc.contextual))
+    return model.score_components(ht, model.span_projections(enc.contextual))
+
+
+def _gathered_scores(bucket: Bucket, components: _Components) -> Tensor:
+    """Log probabilities of every correct action as the edge array
+    [B, K, 1 + C] (edge 0 the Gen, edges 1..C the copy slots), batched;
+    absent edges hold -inf and carry no gradient."""
+    vs, a, c, z = components
     scores = ad.concat([
         ad.take_last(vs, bucket.gen_ids[:, :, None]),
         ad.add(ad.take_last(a, bucket.copy_i), ad.take_last(c, bucket.copy_jm1)),
@@ -259,7 +285,11 @@ def bucket_log_scores(
     """Per-example log score [B] under the chosen objective (higher better)."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    lq = _gathered_scores(model, bucket, train, rng)
+    return _reduce(bucket, _gathered_scores(bucket, _components(model, bucket, train, rng)), objective)
+
+
+def _reduce(bucket: Bucket, lq: Tensor, objective: str) -> Tensor:
+    """The objective's per-example log score [B] from the edge array."""
     if objective == "marginal":
         gen_hop = np.ones(bucket.gen_ids.shape + (1,), dtype=np.int64)
         copy_hop = bucket.copy_jm1 - bucket.copy_i + 1
@@ -363,20 +393,116 @@ class Adam:
 # Training loop
 
 
+def _validation_buckets(
+    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+    vocab: Vocab,
+    max_copy_len: int | None,
+) -> list[tuple[Bucket, list]]:
+    """`build_buckets` of the pairs, each bucket with its pairs in row
+    order; every input must be one `greedy_decode` accepts."""
+    for x, _ in pairs:
+        search._check_input(x)
+    return list(zip(build_buckets(pairs, vocab, max_copy_len), _shape_groups(pairs)))
+
+
+def _greedy_walk(
+    model: SpanCopyModel,
+    vocab: Vocab,
+    bucket: Bucket,
+    pairs: list,
+    components: _Components,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows' `greedy_decode` (default budget) is finished and equals
+    y, read off the bucket's teacher-forced `components`, and the emitting
+    actions each hit takes (0 for a miss): ([B] bool, [B] int64).
+
+    Greedy's state after emitting y[:k] is the teacher-forced state at k,
+    so each row walks y.  At its position k, greedy takes the best action
+    by `action_scores_many`'s expressions, where an action ties the best
+    when adding it to greedy's float64 running log-prob gives the same sum;
+    ties go to the smaller emitted tokens (EOS as its surface), then to the
+    smaller flat index.  The row goes on while that action emits the next
+    tokens of y (Gen(UNK) never does), and hits when it takes EOS at k = m,
+    every action at k <= `default_max_len(n)`.  A span's best start per end
+    is a running max of start scores, exact since IEEE addition is monotone,
+    so no [K, n, n] block is formed; exact ties are resolved only at the
+    positions visited.  A non-finite best score raises greedy's ValueError.
+    """
+    vs, a, c, z = (t.data for t in components)
+    bsz, n = bucket.x_ids.shape
+    m = bucket.dec_in.shape[1] - 1
+    v = model.config.vocab_size
+    capped = model.config.max_copy_len == 1
+    max_len = search.default_max_len(n)
+    span_ok = ~_forbidden_spans(n, model.config.max_copy_len)  # [start, end]
+    hit = np.zeros(bsz, dtype=bool)
+    taken = np.zeros(bsz, dtype=np.int64)
+    # the rows still on y, their positions, running log-probs and actions
+    rows = np.arange(bsz)
+    pos = np.zeros(bsz, dtype=np.int64)
+    lp = np.zeros(bsz)
+    count = np.zeros(bsz, dtype=np.int64)
+    while (live := pos <= max_len).any():
+        rows, pos, lp, count = rows[live], pos[live], lp[live], count[live]
+        zk = z[rows, pos]
+        gen = vs[rows, pos] - zk  # [R, V]
+        ak, cz = a[rows, pos], c[rows, pos] - zk  # [R, n]
+        end_best = (ak if capped else np.maximum.accumulate(ak, axis=1)) + cz
+        best = np.maximum(gen.max(axis=1), end_best.max(axis=1))
+        if not np.isfinite(best).all():
+            top = best[~np.isfinite(best)][0]
+            raise ValueError(f"the best action scores {top}: the model's scores are not finite")
+        # the actions that tie the best once added to lp, as greedy sums
+        # them: Gens (g_row, g_tok), then spans (s_row, s_start, s_end)
+        lpc = lp[:, None]
+        target = lpc + best[:, None]
+        g_row, g_tok = (lpc + gen == target).nonzero()
+        e_row, e_end = (lpc + end_best == target).nonzero()
+        tied = (lpc[e_row] + (ak[e_row] + cz[e_row, e_end, None]) == target[e_row]) & span_ok[:, e_end].T
+        p, s_start = tied.nonzero()
+        s_row, s_end = e_row[p], e_end[p]
+        # each row's action: its one candidate, or the tie-break's pick
+        choice = np.empty(rows.size, dtype=np.int64)
+        choice[g_row] = g_tok
+        choice[s_row] = v + s_start * n + s_end
+        ties = np.bincount(g_row, minlength=rows.size) + np.bincount(s_row, minlength=rows.size)
+        for r in (ties > 1).nonzero()[0].tolist():
+            x = pairs[rows[r]][0]
+            cands = [((vocab.surface(t),), t) for t in g_tok[g_row == r].tolist()]
+            cands += [(tuple(x[i : e + 1]), v + i * n + e)
+                      for i, e in zip(s_start[s_row == r].tolist(), s_end[s_row == r].tolist())]
+            choice[r] = min(cands)[1]
+
+        is_copy = choice >= v
+        i, e = np.divmod(choice - v, n)
+        gen_on = (~is_copy & (choice != UNK_ID) & (choice == bucket.gen_ids[rows, pos])
+                  & bucket.ok[rows, pos, 0])
+        slot = (bucket.copy_i[rows, pos] == i[:, None]) & (bucket.copy_jm1[rows, pos] == e[:, None])
+        copy_on = is_copy & (slot & bucket.copy_mask[rows, pos]).any(axis=1)
+        eos = choice == EOS_ID
+        done = eos & (pos == m)
+        hit[rows[done]] = True
+        taken[rows[done]] = count[done]
+        on = ~eos & (gen_on | copy_on)
+        rows, lp, count = rows[on], target[on, 0], count[on] + 1
+        pos = pos[on] + np.where(is_copy[on], e[on] - i[on] + 1, 1)
+    return hit, taken
+
+
 def greedy_exact_match(
     model: SpanCopyModel,
     vocab: Vocab,
     pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
 ) -> float | None:
-    """Share of pairs whose greedy decode is finished and equals y; None
-    when there are no pairs."""
+    """Share of pairs whose greedy decode (`search.greedy_decode`) is
+    finished and equals y; None when there are no pairs.  Read off one
+    teacher-forced pass per shape bucket, with no decoding (`_greedy_walk`)."""
     if not pairs:
         return None
     hits = 0
-    for x, y in pairs:
-        result = search.greedy_decode(model, vocab, list(x))
-        if result.finished and result.tokens == tuple(y):
-            hits += 1
+    with ad.no_grad():
+        for bucket, group in _validation_buckets(pairs, vocab, model.config.max_copy_len):
+            hits += int(_greedy_walk(model, vocab, bucket, group, _components(model, bucket))[0].sum())
     return hits / len(pairs)
 
 
@@ -393,8 +519,9 @@ def train(
     `batches` and `mean_batch_size`, and the global gradient norm before
     clipping as `grad_norm_mean` and `grad_norm_max` over the epoch's steps,
     with `clip_fraction` the share of steps it was clipped in; their
-    exact_match is None.  With no validation examples, valid records hold
-    None for loss and exact_match.
+    exact_match is None.  Valid records also carry `actions_per_output`
+    (see `_dataset_loss`).  With no validation examples, valid records hold
+    None for loss, exact_match and actions_per_output.
 
     Deterministic for fixed seeds: batching order and dropout noise both come
     from one generator seeded by cfg.seed.
@@ -404,8 +531,7 @@ def train(
     rng = np.random.default_rng(mix64(cfg.seed))
     cap = model.config.max_copy_len
     buckets = build_buckets(pairs_of(train_examples), vocab, cap)
-    valid_pairs = pairs_of(valid_examples)
-    valid_buckets = build_buckets(valid_pairs, vocab, cap) if valid_pairs else []
+    valid = _validation_buckets(pairs_of(valid_examples), vocab, cap)
     opt = Adam(model.params, lr=cfg.lr, clip_norm=cfg.clip_norm)
     records: list[dict] = []
     log_file = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
@@ -446,8 +572,7 @@ def train(
             records.append(_emit(log_file, {
                 "epoch": epoch,
                 "split": "valid",
-                "loss": _dataset_loss(model, valid_buckets, cfg.objective),
-                "exact_match": greedy_exact_match(model, vocab, valid_pairs),
+                **_dataset_loss(model, vocab, valid, cfg.objective),
             }))
     finally:
         if log_file:
@@ -455,16 +580,34 @@ def train(
     return records
 
 
-def _dataset_loss(model: SpanCopyModel, buckets: list[Bucket], objective: str) -> float | None:
-    if not buckets:
-        return None
-    total, count = 0.0, 0
+def _dataset_loss(
+    model: SpanCopyModel,
+    vocab: Vocab,
+    valid: list[tuple[Bucket, list]],
+    objective: str,
+) -> dict:
+    """A valid record's `loss`, `exact_match` and `actions_per_output`, from
+    one no-grad teacher-forced pass per bucket of `_validation_buckets`:
+    the loss is the objective's, and the greedy figures come from
+    `_greedy_walk` on the same components.  All None with no buckets.
+    Training calls it once per epoch; the benchmark's tracer times it, by
+    this name, as `objective.validation`."""
+    if not valid:
+        return {"loss": None, "exact_match": None, "actions_per_output": None}
+    total, count, hits, actions = 0.0, 0, 0, 0
     with ad.no_grad():
-        for bucket in buckets:
-            scores = bucket_log_scores(model, bucket, objective, train=False)
-            total -= float(scores.data.sum())
+        for bucket, pairs in valid:
+            components = _components(model, bucket)
+            total -= float(_reduce(bucket, _gathered_scores(bucket, components), objective).data.sum())
             count += bucket.size
-    return total / count
+            hit, taken = _greedy_walk(model, vocab, bucket, pairs, components)
+            hits += int(hit.sum())
+            actions += int(taken.sum())
+    return {
+        "loss": total / count,
+        "exact_match": hits / count,
+        "actions_per_output": actions / hits if hits else None,
+    }
 
 
 def _emit(log_file, record: dict) -> dict:

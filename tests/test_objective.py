@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import spanedit as se
 import spanedit.autodiff as ad
-from spanedit.corpus import RESERVED_SURFACES, EOS_ID, UNK_ID
+from spanedit.corpus import RESERVED_SURFACES, EOS_ID, UNK, UNK_ID, TaskKind, alphabet_surfaces
 from spanedit.objective import (
+    OBJECTIVES,
     Bucket,
+    _components,
+    _dataset_loss,
+    _greedy_walk,
+    _validation_buckets,
     bucket_log_scores,
     build_bucket,
     greedy_exact_match,
@@ -23,6 +29,7 @@ from spanedit.oracle import (
     sequence_log_prob,
     teacher_forced_distributions,
 )
+from spanedit.search import default_max_len
 
 from conftest import random_params_model, split_corpus, tiny_vocab
 
@@ -427,7 +434,8 @@ def test_training_log_jsonl(tmp_path, insert_setup):
     base = {"epoch", "split", "loss", "exact_match"}
     train_keys = base | {"wall_s", "examples_per_s", "batches", "mean_batch_size",
                          "grad_norm_mean", "grad_norm_max", "clip_fraction"}
-    assert all(set(r) == (train_keys if r["split"] == "train" else base) for r in lines)
+    valid_keys = base | {"actions_per_output"}
+    assert all(set(r) == (train_keys if r["split"] == "train" else valid_keys) for r in lines)
     epochs = [r["epoch"] for r in lines if r["split"] == "train"]
     assert epochs == [1, 2]
     for r in lines[::2]:
@@ -448,7 +456,7 @@ def test_training_without_validation_reports_none(insert_setup):
     cfg = se.TrainConfig(epochs=1, batch_size=16, lr=1e-3, seed=0)
     records = se.train(model, vocab, splits["train"][:32], [], cfg)
     assert [r for r in records if r["split"] == "valid"] == [
-        {"epoch": 1, "split": "valid", "loss": None, "exact_match": None}
+        {"epoch": 1, "split": "valid", "loss": None, "exact_match": None, "actions_per_output": None}
     ]
     assert greedy_exact_match(model, vocab, []) is None
 
@@ -469,3 +477,173 @@ def test_trained_insert_reaches_high_exact_match(trained_insert):
     final = [r for r in records if r["split"] == "valid"][-1]
     assert final["exact_match"] >= 0.9
     assert greedy_exact_match(model, vocab, pairs_of(splits["test"])) >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# Greedy exact match read off the teacher-forced pass; greedy_decode, which
+# decodes each input alone, is the reference.
+
+
+def walk_and_decode(model, vocab, pairs):
+    """(hit, emitting actions) per pair from the walk, and the same from
+    greedy_decode; a miss counts 0 actions."""
+    walked = {}
+    with ad.no_grad():
+        for bucket, group in _validation_buckets(pairs, vocab, model.config.max_copy_len):
+            hit, taken = _greedy_walk(model, vocab, bucket, group, _components(model, bucket))
+            walked.update(zip(group, zip(hit.tolist(), taken.tolist())))
+    want = []
+    for x, y in pairs:
+        res = se.greedy_decode(model, vocab, x)
+        ok = res.finished and res.tokens == tuple(y)
+        want.append((ok, len(res.actions) if ok else 0))
+    return [walked[pair] for pair in pairs], want
+
+
+def with_own_outputs(model, vocab, pairs, count=40):
+    """The pairs plus, for the first `count` inputs, greedy's own finished
+    output (a hit) and that output less its last token (a miss one step
+    before EOS).  An output holding "<unk>" is no valid target, so it is
+    left out."""
+    extra = []
+    for x, _ in pairs[:count]:
+        res = se.greedy_decode(model, vocab, x)
+        if res.finished and UNK not in res.tokens:
+            extra += [(x, res.tokens)] + ([(x, res.tokens[:-1])] if res.tokens else [])
+    return list(pairs) + extra
+
+
+def assert_walk_is_greedy(model, vocab, pairs) -> int:
+    got, want = walk_and_decode(model, vocab, pairs)
+    assert got == want
+    hits = sum(ok for ok, _ in want)
+    assert greedy_exact_match(model, vocab, pairs) == hits / len(pairs)
+    return hits
+
+
+@pytest.fixture(scope="module")
+def acceptance_data():
+    spec = se.TaskSpec(kind=TaskKind.DUPLICATE_SPAN, alphabet_size=6, min_len=6, max_len=14, seed=5)
+    splits = split_corpus(spec, 2000)
+    return splits, se.build_vocab(splits["train"])
+
+
+@pytest.mark.parametrize("overrides", [{}, {"max_copy_len": 1}, {"precision": "float32"}],
+                         ids=["span", "token_copy", "float32"])
+def test_greedy_walk_matches_decode_on_partly_trained_models(acceptance_data, overrides):
+    splits, vocab = acceptance_data
+    cfg = se.ModelConfig(vocab_size=vocab.size, embed_dim=16, enc_hidden=16, enc_layers=2,
+                         dec_hidden=32, dropout=0.1, init_seed=1, **overrides)
+    model = se.SpanCopyModel(cfg)
+    se.train(model, vocab, splits["train"], [], se.TrainConfig(epochs=1, batch_size=32, lr=3e-3, seed=1))
+    pairs = with_own_outputs(model, vocab, pairs_of(splits["valid"] + splits["test"]))
+    hits = assert_walk_is_greedy(model, vocab, pairs)
+    assert 0 < hits < len(pairs)
+
+
+def test_greedy_walk_matches_decode_with_oov_targets():
+    # a capped vocab leaves most identifiers out: an out-of-vocab target is
+    # emitted only by a copy, and Gen(UNK) never equals it
+    spec = se.TaskSpec(kind=TaskKind.RENAME_ID, alphabet_size=12, min_len=5, max_len=9, seed=3)
+    splits = split_corpus(spec, 300)
+    vocab = se.build_vocab(splits["train"], max_size=8)
+    cfg = se.ModelConfig(vocab_size=vocab.size, embed_dim=16, enc_hidden=16, enc_layers=2,
+                         dec_hidden=32, dropout=0.1, init_seed=2)
+    model = se.SpanCopyModel(cfg)
+    se.train(model, vocab, splits["train"], [], se.TrainConfig(epochs=12, batch_size=16, lr=1e-2, seed=2))
+    pairs = with_own_outputs(model, vocab, pairs_of(splits["valid"] + splits["test"]))
+    got, want = walk_and_decode(model, vocab, pairs)
+    assert got == want
+    assert any(ok and any(t not in vocab for t in y) for (_, y), (ok, _) in zip(pairs, want))
+
+
+def test_greedy_walk_breaks_exact_ties_as_greedy():
+    # With every parameter zero, every action scores alike at every
+    # position, so greedy takes the smallest emitted tokens: EOS ("</s>")
+    # before any letter, so () is a hit and ("a",) a miss, but a copy of
+    # "1", which sorts before "<", before EOS.
+    vocab = se.Vocab(list(RESERVED_SURFACES) + ["a", "b"])
+    model = se.SpanCopyModel(se.ModelConfig(vocab_size=vocab.size, embed_dim=4, enc_hidden=3,
+                                            enc_layers=1, dec_hidden=5, dropout=0.0))
+    for p in model.params.values():
+        p.data = np.zeros_like(p.data)
+    pairs = [(("a", "b"), ()), (("b",), ()), (("a",), ("a",)), (("1", "a"), ()), (("1", "a"), ("1",))]
+    got, want = walk_and_decode(model, vocab, pairs)
+    assert got == want
+    assert [ok for ok, _ in want] == [True, True, False, False, False]
+
+
+def test_greedy_walk_keeps_the_length_budget():
+    # this random model's greedy decode of a one-token input, given room,
+    # finishes past default_max_len(1): greedy with the default budget
+    # stops before y, so the pair is a miss
+    vocab, letters = tiny_vocab()
+    model = random_params_model(vocab, np.random.default_rng(185))
+    x = (letters[0],)
+    budget = default_max_len(1)
+    long = se.greedy_decode(model, vocab, x, max_len=10 * budget)
+    assert long.finished and len(long.tokens) > budget
+    pairs = [(x, long.tokens), (x, long.tokens[: budget + 1])]
+    got, want = walk_and_decode(model, vocab, pairs)
+    assert got == want == [(False, 0), (False, 0)]
+
+
+def test_validation_loss_is_the_objectives(acceptance_data):
+    splits, vocab = acceptance_data
+    model = random_params_model(vocab, np.random.default_rng(8), scale=0.3)
+    pairs = pairs_of(splits["valid"][:60])
+    valid = _validation_buckets(pairs, vocab, None)
+    for objective in OBJECTIVES:
+        with ad.no_grad():
+            total = -sum(float(bucket_log_scores(model, b, objective).data.sum()) for b, _ in valid)
+        assert _dataset_loss(model, vocab, valid, objective)["loss"] == total / len(pairs)
+
+
+def test_actions_per_output_counts_greedy_actions(trained_insert):
+    model, vocab, splits, records = trained_insert
+    pairs = pairs_of(splits["test"])
+    taken = []
+    for x, y in pairs:
+        res = se.greedy_decode(model, vocab, x)
+        if res.finished and res.tokens == y:
+            taken.append(len(res.actions))
+    got = _dataset_loss(model, vocab, _validation_buckets(pairs, vocab, None), "marginal")
+    assert got["exact_match"] == len(taken) / len(pairs)
+    assert got["actions_per_output"] == sum(taken) / len(taken)
+    assert all(r["actions_per_output"] > 0 for r in records if r["split"] == "valid" and r["exact_match"])
+
+
+def test_validation_memory_stays_linear_in_span_count():
+    # criterion 10's pairs at n = 128: a [B, K, n^2] score block would be
+    # about 135 MB here, against a few MB for the loss-only forward
+    surfaces = alphabet_surfaces(TaskKind.DELETE, 12)
+    vocab = se.Vocab(list(RESERVED_SURFACES) + surfaces)
+    rng = np.random.default_rng(42)
+    pairs = []
+    for _ in range(8):
+        xs = [surfaces[i] for i in rng.integers(0, 12, size=128)]
+        ys = list(xs)
+        ys[64] = surfaces[(surfaces.index(xs[64]) + 1) % 12]
+        pairs.append((tuple(xs), tuple(ys)))
+    cfg = se.ModelConfig(vocab_size=vocab.size, embed_dim=16, enc_hidden=16, enc_layers=2,
+                         dec_hidden=32, dropout=0.0, init_seed=0)
+    model = se.SpanCopyModel(cfg)
+    valid = _validation_buckets(pairs, vocab, None)
+    [(bucket, _)] = valid
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def loss_only():
+        with ad.no_grad():
+            bucket_log_scores(model, bucket, "marginal")
+
+    loss_peak = peak(loss_only)
+    valid_peak = peak(lambda: _dataset_loss(model, vocab, valid, "marginal"))
+    assert valid_peak <= 1.5 * loss_peak, (valid_peak, loss_peak)
