@@ -101,8 +101,9 @@ _GEN_OPTS = (
     Opt("task", str, None, "edit task to generate", required=True, choices=_TASKS),
     Opt("count", int, None, "number of examples", required=True),
     Opt("seed", int, 0, "corpus seed"),
-    Opt("min_len", int, 6, "minimum input length"),
-    Opt("max_len", int, 14, "maximum input length"),
+    # 6-14, the acceptance task's lengths; TaskSpec's own defaults differ
+    Opt("min_len", int, 6, f"minimum input length (default 6; TaskSpec's is {TaskSpec.min_len})"),
+    Opt("max_len", int, 14, f"maximum input length (default 14; TaskSpec's is {TaskSpec.max_len})"),
     Opt("alphabet_size", int, 6, "distinct content tokens"),
     Opt("out", str, None, "output directory for train/valid/test.jsonl", required=True),
 )

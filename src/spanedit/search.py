@@ -42,10 +42,19 @@ successors with the waiting rays.  The active rays of a merging round are
 distinct and none is a prefix of another, so a successor is keyed exactly
 by (its parent, its action's class), and a waiting ray by the same key when
 an active ray and one action make its tokens; each group's mass is summed
-with one reduceat.  Every round prunes with a partial sort.  Token tuples are
-built only for merge events and for the groups at or above the k-th score,
-which get the exact (-score, tokens) tie-break.  Survivors are settled with one batched decoder
-step per pending token depth.
+with one reduceat.  A waiting ray's key parent is its shortest open proper
+prefix, found once per round with the rays that may grow.  Every round
+prunes with a partial sort.  Token tuples are built only for the groups at
+or above the k-th score, which get the exact (-score, tokens) tie-break.
+Survivors are settled with one batched decoder step per pending token
+depth.
+
+Merge events are recorded, not built: each round that merges rays adds
+its multi-member groups to the search's merge log as index arrays (the
+representative's parent row, action and finished flag, and the group's
+size) with a reference to the token tuples of that round's rays, never to
+the pool.  A BeamResult holds the log until merge_events is first read,
+which builds the MergeEvents from it.
 """
 
 from __future__ import annotations
@@ -80,23 +89,72 @@ class DecodedCandidate:
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """step is the length of the shortest ray expanded in the round where
-    rays merged, or -1 for the post-hoc grouping pass of the merge-at-end
-    variant."""
+    """merged rays, at least 2, emitted `tokens` (ending in EOS when they
+    finished) in one round.  step is the length of the shortest ray
+    expanded in that round, or -1 for the post-hoc grouping pass of the
+    merge-at-end variant.  A decode builds its events from its merge log
+    only when BeamResult.merge_events is first read."""
 
     step: int
     tokens: tuple[str, ...]
     merged: int
 
 
-@dataclass
+class _MergeLog:
+    """The merge groups of one search, as index arrays per merging round
+    that merged any rays: each group's representative (parent row, action,
+    finished flag) in that round's pool and its size, in representative
+    order, plus the round's step and the token tuples of the rays it
+    expanded.  events() builds the MergeEvents from them."""
+
+    def __init__(self, surfaces: Callable[[int], tuple[str, ...]]):
+        self.surfaces = surfaces
+        self.rounds: list[tuple] = []
+
+    def add(self, step: int, tokens: list[tuple[str, ...]], parent, action, finished, size) -> None:
+        self.rounds.append((step, tokens, parent, action, finished, size))
+
+    def events(self) -> list[MergeEvent]:
+        out = []
+        for step, tokens, parent, action, finished, size in self.rounds:
+            made = _tokens(self.surfaces, tokens, parent.tolist(), action.tolist())
+            out.extend(
+                MergeEvent(step, t + (EOS,) if f else t, z)
+                for t, f, z in zip(made, finished.tolist(), size.tolist())
+            )
+        return out
+
+
 class BeamResult:
-    candidates: list[DecodedCandidate]
-    merge_events: list[MergeEvent]
+    """Candidates, best first, and the merge events of the search.
+
+    A decode hands over its merge log (_MergeLog: index arrays per merging
+    round), and the merge_events property turns it into the list of
+    MergeEvents on first read and keeps that list.  BeamResult(candidates,
+    merge_events) also takes a built list, which it returns as it is.
+    Results compare by candidates and merge events."""
+
+    def __init__(self, candidates: list[DecodedCandidate], merge_events: list[MergeEvent] | _MergeLog):
+        self.candidates = candidates
+        self._merge_events = merge_events
+
+    @property
+    def merge_events(self) -> list[MergeEvent]:
+        if isinstance(self._merge_events, _MergeLog):
+            self._merge_events = self._merge_events.events()
+        return self._merge_events
 
     @property
     def best(self) -> DecodedCandidate:
         return self.candidates[0]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.candidates, self.merge_events) == (other.candidates, other.merge_events)
+
+    def __repr__(self) -> str:
+        return f"BeamResult(candidates={self.candidates!r}, merge_events={self.merge_events!r})"
 
 
 @dataclass
@@ -267,47 +325,58 @@ def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
 _Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _prefix_complete(rays: _Rays, open_: np.ndarray) -> np.ndarray:
-    """Which open (unfinished) rays have no other open ray as a proper
-    prefix.  Only such a prefix, or its successors, can still reach a ray's
-    tokens, so a prefix-complete ray's mass is final and it may grow."""
+def _open_prefixes(rays: _Rays, open_: np.ndarray) -> np.ndarray:
+    """Each open (unfinished) ray's shortest open proper prefix: its row, or
+    -1 where there is none, and for finished rays.  Only such a prefix, or
+    its successors, can still reach a ray's tokens, so a ray with none is
+    prefix-complete: its mass is final and it may grow.  A prefix found is
+    itself prefix-complete, since a shorter open prefix of it would be one
+    of the ray too."""
     rows = open_.nonzero()[0].tolist()
-    opened = {rays.tokens[r] for r in rows}
+    opened = {rays.tokens[r]: r for r in rows}
     lengths = sorted(set(rays.length[rows].tolist()))
-    complete = open_.copy()
+    prefix = np.full(open_.size, -1)
     for r in rows:
         toks = rays.tokens[r]
-        complete[r] = not any(toks[:m] in opened for m in lengths if m < len(toks))
-    return complete
+        for m in lengths:
+            if m >= len(toks):
+                break
+            q = opened.get(toks[:m])
+            if q is not None:
+                prefix[r] = q
+                break
+    return prefix
 
 
-def _frontier_groups(table: _ActionTable, rays: _Rays, pool: _Pool, grow: np.ndarray) -> _Groups:
+def _frontier_groups(
+    table: _ActionTable, rays: _Rays, pool: _Pool, grow: np.ndarray, prefix: np.ndarray
+) -> _Groups:
     """Groups of equal (tokens, finished) in a merging round, by exact keys.
     The active rays (mask grow) are distinct and prefix-free: none is a
     prefix of another.  So two successors of different parents never emit
     equal tokens (the shorter parent would be a prefix of the longer), and
     a successor is keyed (parent, action class).  An unfinished waiting ray
     w can equal only a successor of an active ray q that is a proper prefix
-    of w; at most one active ray is, and trying each active length finds
-    it.  w then equals successor (q, a) exactly when a emits w[len(q):].
-    That remainder is a suffix of the copy that made w (w's parent was
+    of w.  At most one active ray is, and it is w's shortest open proper
+    prefix (`prefix`, from _open_prefixes) when that one grows.  w then
+    equals successor (q, a) exactly when a emits w[len(q):].  That
+    remainder is a suffix of the copy that made w (w's parent was
     prefix-complete when it grew, so q is longer than it), so it has a copy
     class.  Any other waiting ray keeps (itself, -1), which no successor
     has.  A finished waiting ray ended a ray that grew earlier, whose tokens
     no later ray can hold again, so no finished successor equals it."""
     key_parent, key_cls = pool.parent.copy(), table.cls[pool.action]
-    waiting = ((pool.action < 0) & ~pool.finished).nonzero()[0]
+    # the active proper prefix of each ray, or -1 (grow[-1] is masked out)
+    stem = np.where((prefix >= 0) & grow[prefix], prefix, -1)
+    waiting = (pool.action < 0).nonzero()[0]
+    q = stem[pool.parent[waiting]]
+    waiting, q = waiting[q >= 0], q[q >= 0]
     if waiting.size:
-        rows = grow.nonzero()[0].tolist()
-        active = {rays.tokens[r]: r for r in rows}
-        lengths = sorted(set(rays.length[rows].tolist()))
-        for p in waiting.tolist():
-            toks = rays.tokens[pool.parent[p]]
-            for m in lengths:
-                q = active.get(toks[:m]) if m < len(toks) else None
-                if q is not None:
-                    key_parent[p], key_cls[p] = q, table.copy_class(toks[m:])
-                    break
+        key_parent[waiting] = q
+        key_cls[waiting] = [
+            table.copy_class(rays.tokens[w][len(rays.tokens[r]) :])
+            for w, r in zip(pool.parent[waiting].tolist(), q.tolist())
+        ]
     order = np.lexsort((key_cls, key_parent))
     kp, kc = key_parent[order], key_cls[order]
     return (order, *_runs((kp[1:] != kp[:-1]) | (kc[1:] != kc[:-1])))
@@ -332,6 +401,17 @@ def _runs(changed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.concatenate((starts, [changed.size + 1])))
 
 
+def _tokens(
+    surfaces: Callable[[int], tuple[str, ...]],
+    tokens: list[tuple[str, ...]],
+    parent: list[int],
+    action: list[int],
+) -> list[tuple[str, ...]]:
+    """The tokens of pool entries (parent, action) of a round whose rays
+    hold `tokens`; surfaces is _ActionTable.surfaces."""
+    return [tokens[p] + surfaces(a) if a >= 0 else tokens[p] for p, a in zip(parent, action)]
+
+
 def _next_rays(
     model: SpanCopyModel,
     table: _ActionTable,
@@ -339,71 +419,47 @@ def _next_rays(
     pool: _Pool,
     beam_size: int,
     merge_step: int | None,
-    grow: np.ndarray | None,
-    events: list[MergeEvent],
+    groups: _Groups | None,
+    log: _MergeLog,
 ) -> _Rays:
-    """Merge, prune to beam_size and settle.  merge_step is None for a round
-    that does not merge, -1 for the post-hoc grouping, and otherwise the
-    shortest length among a merging round's active rays, whose mask is
-    grow."""
-    parent_l, action_l = pool.parent.tolist(), pool.action.tolist()
-    finished_l = pool.finished.tolist()
-    memo: dict[int, tuple[str, ...]] = {}
-
-    def tokens_of(p: int) -> tuple[str, ...]:
-        toks = memo.get(p)
-        if toks is None:
-            a = action_l[p]
-            toks = rays.tokens[parent_l[p]]
-            if a >= 0:
-                toks = toks + table.surfaces(a)
-            memo[p] = toks
-        return toks
-
-    def path_of(p: int) -> tuple[int, ...]:
-        a = action_l[p]
-        path = rays.paths[parent_l[p]]
-        return path if a < 0 else path + (a,)
-
-    def keyed_tokens(p: int) -> tuple[str, ...]:
-        toks = tokens_of(p)
-        return toks + (EOS,) if finished_l[p] else toks
-
-    if merge_step is None:
+    """Merge `groups`, prune to beam_size and settle.  merge_step is None
+    for a round that does not merge (groups None), -1 for the post-hoc
+    grouping, and otherwise the shortest length among a merging round's
+    active rays.  Tokens are built only for the pool entries at or above
+    the k-th score."""
+    if groups is None:
         rep, score = np.arange(pool.parent.size), pool.log_prob
     else:
-        if merge_step < 0:
-            order, starts, sizes = _exact_groups(pool, tokens_of)
-        else:
-            order, starts, sizes = _frontier_groups(table, rays, pool, grow)
+        order, starts, sizes = groups
         rep = order[starts]
         score = np.logaddexp.reduceat(pool.log_prob[order], starts)
         multi = (sizes > 1).nonzero()[0]
-        for g in multi[np.argsort(rep[multi])].tolist():
-            events.append(MergeEvent(merge_step, keyed_tokens(int(rep[g])), int(sizes[g])))
+        if multi.size:
+            g = multi[np.argsort(rep[multi])]
+            r = rep[g]
+            log.add(merge_step, rays.tokens, pool.parent[r], pool.action[r], pool.finished[r], sizes[g])
 
     if score.size > beam_size:
         cand = (score >= np.partition(score, -beam_size)[-beam_size]).nonzero()[0]
         rep, score = rep[cand], score[cand]
-    rep_l, score_l = rep.tolist(), score.tolist()
-    with_path = merge_step is None
-
-    def key(c: int):
-        p = rep_l[c]
-        k = (-score_l[c], keyed_tokens(p))
-        return k + (path_of(p),) if with_path else k
-
-    keep = sorted(range(len(rep_l)), key=key)[:beam_size]
-    kept = rep[keep]
-    kept_l = kept.tolist()
-    parent, action = pool.parent[kept], pool.action[kept]
+    parent, action, finished = pool.parent[rep], pool.action[rep], pool.finished[rep]
+    parent_l, action_l = parent.tolist(), action.tolist()
+    tokens = _tokens(table.surfaces, rays.tokens, parent_l, action_l)
+    keyed = [t + (EOS,) if f else t for t, f in zip(tokens, finished.tolist())]
+    if groups is None:
+        paths = [rays.paths[p] + (a,) if a >= 0 else rays.paths[p] for p, a in zip(parent_l, action_l)]
+        keys = list(zip((-score).tolist(), keyed, paths))
+    else:
+        keys = list(zip((-score).tolist(), keyed))
+    keep = sorted(range(len(keys)), key=keys.__getitem__)[:beam_size]
+    parent, action = parent[keep], action[keep]
     return _Rays(
         log_prob=score[keep],
         length=rays.length[parent] + table.length[action],
-        finished=pool.finished[kept],
+        finished=finished[keep],
         hidden=_settle(model, table, rays.hidden[parent], action),
-        tokens=[tokens_of(p) for p in kept_l],
-        paths=[path_of(p) for p in kept_l] if with_path else None,
+        tokens=[tokens[c] for c in keep],
+        paths=[paths[c] for c in keep] if groups is None else None,
     )
 
 
@@ -426,7 +482,7 @@ def _beam_search(
     beam_size: int,
     max_len: int | None,
     merge: bool,
-) -> tuple[_Rays, list[MergeEvent]]:
+) -> tuple[_Rays, _MergeLog]:
     _check_input(x)
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -434,12 +490,12 @@ def _beam_search(
         max_len = default_max_len(len(x))
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    events: list[MergeEvent] = []
     with ad.no_grad():
         x_ids = vocab.ids(x)
         enc = model.encode_batch(np.asarray([x_ids]))
         proj = model.span_projections(enc.contextual)
         table = _ActionTable(vocab, x, x_ids, model.config.vocab_size)
+        log = _MergeLog(table.surfaces)
         rays = _Rays(
             log_prob=np.zeros(1),
             length=np.zeros(1, dtype=np.int64),
@@ -456,33 +512,40 @@ def _beam_search(
             open_ = ~rays.finished
             grow = open_ & (rays.length <= max_len)
             if merge:
-                grow &= _prefix_complete(rays, open_)
+                prefix = _open_prefixes(rays, open_)
+                grow &= prefix < 0
             if not grow.any():
                 break
             if rounds > max_len:
                 raise RuntimeError(
                     f"search did not end in {max_len + 1} rounds: an action of length 0 scored finite"
                 )
-            step = int(rays.length[grow].min()) if merge else None
             pool = _expand(model, enc, proj, rays, grow)
-            rays = _next_rays(model, table, rays, pool, beam_size, step, grow, events)
+            if merge:
+                step = int(rays.length[grow].min())
+                groups = _frontier_groups(table, rays, pool, grow, prefix)
+                rays = _next_rays(model, table, rays, pool, beam_size, step, groups, log)
+            else:
+                rays = _next_rays(model, table, rays, pool, beam_size, None, None, log)
         count = len(rays.tokens)
         if not merge and count > 1:
-            # Post-hoc grouping of the final rays, all waiting; nothing is
-            # pruned, and a single ray has nothing to merge with.
+            # Post-hoc grouping of the final rays, all waiting (pool entry p
+            # is ray p); nothing is pruned, and a single ray has nothing to
+            # merge with.
             pool = _Pool(np.arange(count), np.full(count, -1), rays.log_prob, rays.finished)
-            rays = _next_rays(model, table, rays, pool, count, -1, None, events)
-    return rays, events
+            groups = _exact_groups(pool, rays.tokens.__getitem__)
+            rays = _next_rays(model, table, rays, pool, count, -1, groups, log)
+    return rays, log
 
 
-def _beam_result(rays: _Rays, events: list[MergeEvent]) -> BeamResult:
+def _beam_result(rays: _Rays, log: _MergeLog) -> BeamResult:
     candidates = [
         DecodedCandidate(toks, lp, fin, rank)
         for rank, (toks, lp, fin) in enumerate(
             zip(rays.tokens, rays.log_prob.tolist(), rays.finished.tolist()), start=1
         )
     ]
-    return BeamResult(candidates, events)
+    return BeamResult(candidates, log)
 
 
 def beam_decode(
@@ -500,6 +563,11 @@ def beam_decode(
     the lexicographically smaller token sequence.  With a beam wide enough
     that pruning never discards anything, each finished candidate's score is
     the model's full marginal probability of that token sequence.
+
+    At small widths the beam can end with no finished candidate: long
+    unfinished rays grow as soon as their mass is final and can fill the
+    beam before shorter rays finish (5 of 600 random untrained-model cases
+    at widths 2-10 with max_len = n + 3).
     """
     return _beam_result(*_beam_search(model, vocab, x, beam_size, max_len, merge=True))
 

@@ -15,6 +15,7 @@ from spanedit.corpus import (
     TaskKind,
     apply_edit,
     split_bucket,
+    validate_tokens,
 )
 
 
@@ -146,6 +147,25 @@ def test_vocab_roundtrip(tmp_path):
 def test_vocab_refuses_invalid_surfaces(bad):
     with pytest.raises(CorpusError):
         se.Vocab(list(RESERVED_SURFACES) + ["a", bad])
+
+
+@pytest.mark.parametrize("tokens, message", [
+    (("a", ""), "here: tokens must be non-empty strings, got ''"),
+    (("a", 3), "here: tokens must be non-empty strings, got 3"),
+    (("a", ["b"]), "here: tokens must be non-empty strings, got ['b']"),
+    (("a", "b c"), "here: token 'b c' contains whitespace"),
+    (("a", "b\u00a0c"), "here: token 'b\\xa0c' contains whitespace"),
+    (("a", "</s>"), "here: reserved surface '</s>' not allowed"),
+    (("a b", "</s>", ""), "here: token 'a b' contains whitespace"),
+    (("</s>", "a b"), "here: reserved surface '</s>' not allowed"),
+])
+def test_validate_tokens_names_the_first_bad_token(tokens, message):
+    # twice: a surface's check is cached, and must raise the same error again
+    for _ in range(2):
+        with pytest.raises(CorpusError) as err:
+            validate_tokens(tokens, "here")
+        assert str(err.value) == message
+    validate_tokens(("a", "id1", "INS"), "here")
 
 
 def test_load_vocab_refuses_a_surface_with_whitespace(tmp_path):

@@ -111,6 +111,47 @@ def test_merge_events_recorded():
     assert ev.step >= 0
 
 
+def test_merge_events_are_built_on_first_read(monkeypatch):
+    # a decode keeps its merge groups as index arrays; no MergeEvent exists
+    # until merge_events is read, and the list built then is kept
+    made = []
+    init = MergeEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MergeEvent, "__init__", counted)
+    model, vocab = small_model(seed=2)
+    x = ("a", "a", "b")
+    for decode in (se.beam_decode, se.beam_decode_merge_at_end):
+        made.clear()
+        result = decode(model, vocab, x, beam_size=64, max_len=4)
+        assert made == []
+        events = result.merge_events
+        assert events and made == events
+        again = result.merge_events
+        assert again == events and again is events
+        assert len(made) == len(events)
+
+
+def test_beam_result_built_from_a_list():
+    # a directly built result holds the events it was given; results compare
+    # by candidates and events, however the events were recorded
+    model, vocab = small_model(seed=2)
+    decoded = se.beam_decode(model, vocab, ("a", "a", "b"), beam_size=8, max_len=3)
+    events = [MergeEvent(ev.step, ev.tokens, ev.merged) for ev in decoded.merge_events]
+    built = se.BeamResult(list(decoded.candidates), merge_events=events)
+    assert built.merge_events is events
+    assert list(built.merge_events) == events and built.best == decoded.candidates[0]
+    assert built == decoded and decoded == built
+    assert built != se.BeamResult(list(decoded.candidates), merge_events=events[1:])
+    assert built != se.BeamResult(decoded.candidates[1:], merge_events=events)
+    empty = se.BeamResult(candidates=(), merge_events=())
+    assert empty.merge_events == () and list(empty.merge_events) == []
+    assert empty == se.BeamResult((), ()) and empty != built
+
+
 def test_beam_monotone_in_width():
     model, vocab = small_model(seed=4)
     x = ("b", "a", "b")
@@ -427,8 +468,8 @@ def check_frontier_groups(monkeypatch):
     rounds = []
     keyed = search._frontier_groups
 
-    def checked(table, rays, pool, grow):
-        got = keyed(table, rays, pool, grow)
+    def checked(table, rays, pool, grow, prefix):
+        got = keyed(table, rays, pool, grow, prefix)
         parent, action = pool.parent.tolist(), pool.action.tolist()
 
         def tokens_of(p):

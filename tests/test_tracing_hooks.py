@@ -62,6 +62,10 @@ def test_tracer_counts_one_beam_decode():
     assert traced == plain
     values, unmeasured = tracer.layer_metrics(wall_s=1.0)
     assert unmeasured == []
+    # the tracer reads merge_events, which builds them from the merge log
+    absorbed = sum(ev.merged - 1 for ev in traced.merge_events)
+    assert absorbed > 0
+    assert values["search.rays_absorbed_per_decode"] == absorbed
     rows = values["model.action_scores_rows_per_decode"]
     assert rows > 0
     v, n = vocab.size, len(x)  # PAD and START are never generated
