@@ -61,7 +61,6 @@ from .search import (
     MergeEvent,
     beam_decode,
     beam_decode_merge_at_end,
-    decode,
     greedy_decode,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "build_buckets",
     "build_vocab",
     "correct_actions",
-    "decode",
     "enumerate_action_sequences",
     "evaluate",
     "exact_likelihood",

@@ -261,15 +261,12 @@ def reshape(t: Tensor, shape) -> Tensor:
     return _make(out, (t,), back)
 
 
-def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(t: Tensor, axis=None) -> Tensor:
     t = as_tensor(t)
-    out = t.data.sum(axis=axis, keepdims=keepdims)
+    out = t.data.sum(axis=axis)
 
     def back(g):
-        if axis is None:
-            _acc(t, np.broadcast_to(g, t.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _acc(t, np.broadcast_to(g, t.data.shape).copy())
 

@@ -5,9 +5,12 @@ supplied through a flat key=value config file (--config), where a `#` that
 opens a line or follows whitespace starts a comment; explicit flags win over
 the file, the file wins over defaults.  A train option named after a
 ModelConfig or TrainConfig field takes that field's default, as
-`Adam(params, lr, clip_norm)` takes TrainConfig's.  The effective option set
-is hashed and stamped into output sidecars and checkpoints so artifacts can
-be traced back to the exact configuration that produced them.
+`Adam(params, lr, clip_norm)` takes TrainConfig's.  Likewise the decode and
+eval options named after an `evaluate` parameter take its default, the
+vocabulary cap is `build_vocab`'s and the corpus seed and alphabet size are
+`TaskSpec`'s.  The effective option set is hashed and stamped into output
+sidecars and checkpoints so artifacts can be traced back to the exact
+configuration that produced them.
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 invalid data or configuration,
 4 training divergence.  Log verbosity comes from SPANEDIT_LOG
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import os
@@ -45,7 +49,7 @@ from .corpus import (
 from .metrics import evaluate, span_length_stats, write_histogram_csv
 from .model import PRECISIONS, Gen, ModelConfig, ModelError, SpanCopyModel
 from .objective import OBJECTIVES, DivergenceError, TrainConfig, train
-from .search import decode, greedy_decode
+from .search import beam_decode, beam_decode_merge_at_end, greedy_decode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,14 +101,20 @@ class Opt:
 
 _TASKS = tuple(kind.value for kind in TaskKind)
 
+
+def _default(owner: Callable, name: str):
+    """The default of `owner`'s parameter (or dataclass field) `name`."""
+    return inspect.signature(owner).parameters[name].default
+
+
 _GEN_OPTS = (
     Opt("task", str, None, "edit task to generate", required=True, choices=_TASKS),
     Opt("count", int, None, "number of examples", required=True),
-    Opt("seed", int, 0, "corpus seed"),
+    Opt("seed", int, _default(TaskSpec, "seed"), "corpus seed"),
     # 6-14, the acceptance task's lengths; TaskSpec's own defaults differ
     Opt("min_len", int, 6, f"minimum input length (default 6; TaskSpec's is {TaskSpec.min_len})"),
     Opt("max_len", int, 14, f"maximum input length (default 14; TaskSpec's is {TaskSpec.max_len})"),
-    Opt("alphabet_size", int, 6, "distinct content tokens"),
+    Opt("alphabet_size", int, _default(TaskSpec, "alphabet_size"), "distinct content tokens"),
     Opt("out", str, None, "output directory for train/valid/test.jsonl", required=True),
 )
 
@@ -137,11 +147,18 @@ _TRAIN_OPTS = (
     _knob("max_copy_len", _parse_optional_int, "copy span cap: none or 1"),
     _knob("precision", str, "parameter dtype", choices=PRECISIONS),
     _knob("init_seed", int, "parameter init seed"),
-    Opt("vocab_size", int, 10000, "max vocabulary size"),
+    Opt("vocab_size", int, _default(build_vocab, "max_size"), "max vocabulary size"),
 )
 
-# the beam decoders and their merge modes
-_MERGES = {"beam_merged": "during", "beam_merge_at_end": "end"}
+# the decoders by --decoder name; eval ranks with the beams, all but greedy
+_DECODERS = {
+    "greedy": greedy_decode,
+    "beam_merged": beam_decode,
+    "beam_merge_at_end": beam_decode_merge_at_end,
+}
+_BEAMS = tuple(name for name in _DECODERS if name != "greedy")
+# --decoder's default is the name of evaluate's
+_DEFAULT_DECODER = {f: name for name, f in _DECODERS.items()}[_default(evaluate, "decoder")]
 
 # options that decode, eval and stats share
 _READ_OPTS = (
@@ -150,22 +167,22 @@ _READ_OPTS = (
     Opt("split", str, "test", "corpus split", choices=("train", "valid", "test", "all")),
     Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
 )
-_BEAM_SIZE = Opt("beam_size", int, 20, "beam width")
+_BEAM_SIZE = Opt("beam_size", int, _default(evaluate, "beam_size"), "beam width")
 
 _DECODE_OPTS = _READ_OPTS + (
     Opt("data", str, None, "corpus to decode (gen-data directory or JSONL file)"),
     Opt("input", str, None, "decode one space-separated token sequence instead of a corpus"),
     Opt("out", str, "-", "output path, '-' for stdout"),
-    Opt("decoder", str, "beam_merged", "decoding strategy", choices=("greedy", *_MERGES)),
+    Opt("decoder", str, _DEFAULT_DECODER, "decoding strategy", choices=tuple(_DECODERS)),
     _BEAM_SIZE,
 )
 
 _EVAL_OPTS = _READ_OPTS + (
     Opt("data", str, None, "corpus to evaluate (gen-data directory or JSONL file)", required=True),
     Opt("out", str, "-", "report path, '-' for stdout"),
-    Opt("decoder", str, "beam_merged", "decoding strategy", choices=tuple(_MERGES)),
+    Opt("decoder", str, _DEFAULT_DECODER, "decoding strategy", choices=_BEAMS),
     _BEAM_SIZE,
-    Opt("k", int, 20, "rank cutoff for accuracy@k"),
+    Opt("k", int, _default(evaluate, "k"), "rank cutoff for accuracy@k"),
 )
 
 _STATS_OPTS = _READ_OPTS + (
@@ -365,11 +382,12 @@ def _trace_json(actions, vocab) -> list[dict]:
 
 
 def _decode_one(model, vocab, tokens: list[str], opt: dict) -> dict:
-    if opt["decoder"] == "greedy":
+    decoder = _DECODERS[opt["decoder"]]
+    if decoder is greedy_decode:
         g = greedy_decode(model, vocab, tokens, opt["max_len"])
         ranked, extra = [(1, g)], {"trace": _trace_json(g.actions, vocab)}
     else:
-        result = decode(model, vocab, tokens, opt["beam_size"], opt["max_len"], _MERGES[opt["decoder"]])
+        result = decoder(model, vocab, tokens, opt["beam_size"], opt["max_len"])
         ranked, extra = [(c.rank, c) for c in result.candidates], {}
     cands = [
         {"tokens": list(c.tokens), "log_prob": c.log_prob, "finished": c.finished, "rank": rank}
@@ -415,7 +433,7 @@ def _cmd_eval(opt: dict) -> int:
     examples = _load_nonempty_split(opt)
     report = evaluate(
         model, vocab, examples,
-        beam_size=opt["beam_size"], k=opt["k"], max_len=opt["max_len"], merge=_MERGES[opt["decoder"]],
+        beam_size=opt["beam_size"], k=opt["k"], max_len=opt["max_len"], decoder=_DECODERS[opt["decoder"]],
     )
     if opt["out"] == "-":
         sys.stdout.write(report.to_json() + "\n")

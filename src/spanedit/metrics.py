@@ -6,13 +6,13 @@ import csv
 import json
 import re
 import statistics
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from .atomic import atomic_write
 from .corpus import EditExample, Vocab
 from .model import Action, Copy, SpanCopyModel
-from .search import BeamResult, decode
+from .search import BeamResult, beam_decode
 
 _ID_TOKEN = re.compile(r"^id\d+$")
 
@@ -33,7 +33,7 @@ def hit_rank(result: BeamResult, gold: Sequence[str]) -> int | None:
     return None
 
 
-def accuracy_at_k(result: BeamResult, gold: Sequence[str], k: int = 20) -> bool:
+def accuracy_at_k(result: BeamResult, gold: Sequence[str], k: int) -> bool:
     rank = hit_rank(result, gold)
     return rank is not None and rank <= k
 
@@ -116,17 +116,7 @@ class EvalReport:
     per_task: dict[str, dict[str, float]]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_examples": self.n_examples,
-                "beam_size": self.beam_size,
-                "k": self.k,
-                "metrics": self.metrics,
-                "per_task": self.per_task,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path) -> None:
         with atomic_write(path) as fh:
@@ -147,9 +137,12 @@ def evaluate(
     beam_size: int = 20,
     k: int = 20,
     max_len: int | None = None,
-    merge: str = "during",
+    decoder: Callable[..., BeamResult] = beam_decode,
 ) -> EvalReport:
     """Beam-decode every example and aggregate metrics, overall and per task.
+
+    `decoder` is the beam that ranks: `search.beam_decode` (the default)
+    merges rays during search, `search.beam_decode_merge_at_end` after it.
 
     input_mrr is the reciprocal rank of the unedited input among candidates;
     high values flag a model that learned to copy rather than edit.  It is a
@@ -161,7 +154,7 @@ def evaluate(
         raise ValueError(f"k must be >= 1, got {k}")
 
     def one(ex: EditExample) -> tuple[str, dict[str, float]]:
-        result = decode(model, vocab, list(ex.input), beam_size, max_len, merge)
+        result = decoder(model, vocab, list(ex.input), beam_size, max_len)
         return ex.task, {
             "exact_match": float(exact_match(result, ex.output)),
             "accuracy_at_k": float(accuracy_at_k(result, ex.output, k)),

@@ -202,16 +202,12 @@ def build_bucket(
     gen_ids[:, :m] = np.where(ok[:, :m, 0], y_ids, 0)
 
     # Longest-copy path: the longest matching copy, ties to the earliest
-    # start (argmax takes the first); a position with no copy (position m
-    # included) takes its Gen, edge 0.  Copy slot s is edge 1 + s, so the
-    # longest copy from a start is edge (its length-1 slot) + length, which
-    # is 0 where no start has a copy.
-    best_len = lengths.max(axis=2, initial=0)
-    best_edge = np.zeros_like(best_len)
-    if n:
-        first_slot = np.cumsum(lengths, axis=2) - lengths  # each start's length-1 copy
-        best_i = lengths.argmax(axis=2)[..., None]
-        best_edge = np.take_along_axis(first_slot, best_i, axis=2)[..., 0] + best_len
+    # start (slots go by start, then by length, and argmax takes the first);
+    # a position with no copy (position m included) takes its Gen, edge 0.
+    # Copy slot s is edge 1 + s.
+    hop = np.where(ok[..., 1:], copy_jm1 - copy_i + 1, 0)
+    best_len = hop.max(axis=2)
+    best_edge = np.where(best_len > 0, hop.argmax(axis=2) + 1, 0)
     longest = np.zeros((bsz, k_steps, 1 + cmax), dtype=bool)
     at = np.zeros(bsz, dtype=np.int64)
     rows = np.arange(bsz)
@@ -304,12 +300,10 @@ def marginal_log_likelihood(
     vocab: Vocab,
     x: Sequence[str],
     y: Sequence[str],
-    train: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Scalar log p(y | x), marginalized over all producing action paths."""
     bucket = build_bucket([(x, y)], vocab, model.config.max_copy_len)
-    return ad.reduce_sum(bucket_log_scores(model, bucket, "marginal", train, rng))
+    return ad.reduce_sum(bucket_log_scores(model, bucket, "marginal"))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +490,9 @@ def greedy_exact_match(
 ) -> float | None:
     """Share of pairs whose greedy decode (`search.greedy_decode`) is
     finished and equals y; None when there are no pairs.  Read off one
-    teacher-forced pass per shape bucket, with no decoding (`_greedy_walk`)."""
-    if not pairs:
-        return None
-    hits = 0
-    with ad.no_grad():
-        for bucket, group in _validation_buckets(pairs, vocab, model.config.max_copy_len):
-            hits += int(_greedy_walk(model, vocab, bucket, group, _components(model, bucket))[0].sum())
-    return hits / len(pairs)
+    teacher-forced pass per shape bucket, with no decoding (`_dataset_loss`)."""
+    valid = _validation_buckets(pairs, vocab, model.config.max_copy_len)
+    return _dataset_loss(model, vocab, valid, "marginal")["exact_match"]
 
 
 def train(

@@ -24,6 +24,7 @@ from .model import Action, Copy, EncoderOutputs, Gen, SpanCopyModel, action_len
 from .objective import _codes, _match_tables
 
 MAX_SIDE = 12
+MAX_SEQUENCES = 500_000
 
 
 def match_table(x: Sequence[str], y: Sequence[str]) -> np.ndarray:
@@ -85,12 +86,11 @@ def enumerate_action_sequences(
     y: Sequence[str],
     vocab: Vocab,
     max_copy_len: int | None = None,
-    limit: int = 500_000,
 ) -> list[tuple[Action, ...]]:
     """Every action sequence producing exactly y (final Gen(EOS) included).
 
     Exponential in the worst case; inputs are capped at MAX_SIDE tokens a
-    side and `limit` sequences."""
+    side and MAX_SEQUENCES sequences."""
     if len(x) > MAX_SIDE or len(y) > MAX_SIDE:
         raise ValueError(
             f"enumeration is exponential; refusing lengths ({len(x)}, {len(y)}) > {MAX_SIDE}"
@@ -100,8 +100,8 @@ def enumerate_action_sequences(
     out: list[tuple[Action, ...]] = []
 
     def walk(k: int, path: tuple[Action, ...]) -> None:
-        if len(out) > limit:
-            raise ValueError(f"more than {limit} action sequences")
+        if len(out) > MAX_SEQUENCES:
+            raise ValueError(f"more than {MAX_SEQUENCES} action sequences")
         if k == m:
             out.extend([path + (a,) for a in correct_actions(x, y, vocab, m)])
             return

@@ -20,12 +20,13 @@ beam width.  The shortest unfinished rays always expand, so rays of several
 lengths often grow in one round.  The merge-at-end variant is the classic
 action-synchronous beam (one action per ray per round, no waiting, no
 merging) that only groups equal candidates after search; it exists as a
-baseline and is measurably worse.  Greedy
-decoding is the merge-at-end beam at width 1, and its trace is the kept
-ray's action path.  All three share one length budget: an unfinished ray of
-at most max_len >= 0 tokens takes one more action.  Every action but EOS
-emits at least one token, so a search ends within max_len + 1 rounds; one
-that does not has scored a zero-length action, and raises RuntimeError.
+baseline and is measurably worse.  Callers pick a beam by function:
+beam_decode merges during search, beam_decode_merge_at_end after it.
+Greedy decoding is the merge-at-end beam at width 1, and its trace is the
+kept ray's action path.  All three share one length budget: an unfinished
+ray of at most max_len >= 0 tokens takes one more action.  Every action but
+EOS emits at least one token, so a search ends within max_len + 1 rounds;
+one that does not has scored a zero-length action, and raises RuntimeError.
 A round whose best action scores NaN or +inf raises ValueError: a masked
 action scores -inf, so only a broken model scores that way.
 
@@ -586,18 +587,3 @@ def beam_decode_merge_at_end(
     step -1 merge events).  Kept as the ablation baseline.  Ties in the
     prune break by tokens, then by action path in flat index order."""
     return _beam_result(*_beam_search(model, vocab, x, beam_size, max_len, merge=False))
-
-
-def decode(
-    model: SpanCopyModel,
-    vocab: Vocab,
-    x: list[str] | tuple[str, ...],
-    beam_size: int = 20,
-    max_len: int | None = None,
-    merge: str = "during",
-) -> BeamResult:
-    if merge == "during":
-        return beam_decode(model, vocab, x, beam_size, max_len)
-    if merge == "end":
-        return beam_decode_merge_at_end(model, vocab, x, beam_size, max_len)
-    raise ValueError(f"merge must be 'during' or 'end', got {merge!r}")

@@ -74,7 +74,9 @@ def training_matrix():
                     traces = [se.greedy_decode(model, vocab, ex.input).actions for ex in test]
                     entry["copy_mean"] = se.span_length_stats(traces).mean
                 if kind == TaskKind.DUPLICATE_SPAN and label == "span":
-                    rep_end = se.evaluate(model, vocab, test, beam_size=20, k=20, merge="end")
+                    rep_end = se.evaluate(
+                        model, vocab, test, beam_size=20, k=20, decoder=se.beam_decode_merge_at_end
+                    )
                     entry["metrics_merge_at_end"] = rep_end.metrics
                 if kind == TaskKind.DELETE:
                     with ad.no_grad():

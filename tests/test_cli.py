@@ -1,6 +1,7 @@
 """End-to-end command line checks: artifacts, formats and exit codes."""
 
 import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spanedit as se
 from spanedit import ModelConfig, ModelError, SpanCopyModel, TrainConfig
-from spanedit.cli import _COMMANDS, config_hash, main
+from spanedit.cli import _COMMANDS, _DECODERS, config_hash, main
 from spanedit.model import PRECISIONS
 
 
@@ -357,6 +359,51 @@ def test_train_options_default_to_config_fields():
         ModelConfig(vocab_size=8, precision=precision)
     with pytest.raises(ModelError, match="precision"):
         ModelConfig(vocab_size=8, precision="float16")
+
+
+def test_decode_and_data_options_default_to_their_owners():
+    # each decode, eval and corpus default is written once, on the function
+    # or dataclass that takes it
+    evaluate_defaults = {
+        name: p.default for name, p in inspect.signature(se.evaluate).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+    opts = {command: {o.name: o for o in _COMMANDS[command]} for command in _COMMANDS}
+    for command in ("decode", "eval"):
+        for name, o in opts[command].items():
+            if name in evaluate_defaults:
+                default = _DECODERS[o.default] if name == "decoder" else o.default
+                assert default == evaluate_defaults[name], (command, name)
+    assert opts["train"]["vocab_size"].default == inspect.signature(se.build_vocab).parameters["max_size"].default
+    task_fields = {f.name: f.default for f in dataclasses.fields(se.TaskSpec)}
+    for name in ("seed", "alphabet_size"):
+        assert opts["gen-data"][name].default == task_fields[name], name
+    assert set(_DECODERS.values()) == {se.greedy_decode, se.beam_decode, se.beam_decode_merge_at_end}
+    assert opts["decode"]["decoder"].choices == tuple(_DECODERS)
+    assert [_DECODERS[name] for name in opts["eval"]["decoder"].choices] == [
+        se.beam_decode, se.beam_decode_merge_at_end,
+    ]
+
+    # a literal copy of a default would not follow its owner's
+    script = (
+        "import json\n"
+        "from spanedit import corpus, metrics, search\n"
+        "metrics.evaluate.__defaults__ = (7, 3, None, search.beam_decode_merge_at_end)\n"
+        "corpus.build_vocab.__defaults__ = (99,)\n"
+        "corpus.TaskSpec.__init__.__defaults__ = (4, 4, 12, 11)\n"
+        "from spanedit.cli import _COMMANDS\n"
+        "print(json.dumps({c: {o.name: o.default for o in opts} for c, opts in _COMMANDS.items()}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(se.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    moved = json.loads(proc.stdout)
+    for command in ("decode", "eval"):
+        assert moved[command]["beam_size"] == 7
+        assert moved[command]["decoder"] == "beam_merge_at_end"
+    assert moved["eval"]["k"] == 3
+    assert moved["train"]["vocab_size"] == 99
+    assert (moved["gen-data"]["seed"], moved["gen-data"]["alphabet_size"]) == (11, 4)
 
 
 def test_config_hash_stable_and_order_free():

@@ -50,7 +50,7 @@ def test_gold_absent():
     gold = ("c",)
     assert hit_rank(res, gold) is None
     assert reciprocal_rank(res, gold) == 0.0
-    assert not accuracy_at_k(res, gold)
+    assert not accuracy_at_k(res, gold, k=20)
 
 
 def test_unfinished_candidates_do_not_count():
@@ -144,6 +144,32 @@ def test_eval_report_shape(trained_insert):
     for key in ("exact_match", "accuracy_at_k", "mrr", "structural_match", "input_mrr"):
         assert key in blob["metrics"]
     assert "insert" in blob["per_task"]
+
+
+def test_evaluate_ranks_with_its_decoder(trained_insert):
+    # the report holds the metrics of the given decoder's candidate lists,
+    # beam_decode's by default
+    model, vocab, splits, _ = trained_insert
+    examples = splits["test"][:4]
+    for kw, decoder in (
+        ({}, se.beam_decode),
+        ({"decoder": se.beam_decode_merge_at_end}, se.beam_decode_merge_at_end),
+    ):
+        got = se.evaluate(model, vocab, examples, beam_size=3, k=2, **kw).metrics
+        ranked = [(decoder(model, vocab, ex.input, 3), ex) for ex in examples]
+        assert got == {
+            "exact_match": sum(exact_match(r, ex.output) for r, ex in ranked) / len(examples),
+            "accuracy_at_k": sum(accuracy_at_k(r, ex.output, 2) for r, ex in ranked) / len(examples),
+            "mrr": sum(reciprocal_rank(r, ex.output) for r, ex in ranked) / len(examples),
+            "structural_match": sum(
+                r.best.finished and se.structural_match(r.best.tokens, ex.output) for r, ex in ranked
+            ) / len(examples),
+            "input_mrr": sum(reciprocal_rank(r, ex.input) for r, ex in ranked) / len(examples),
+        }
+    # a decoder whose one candidate is always wrong scores nothing
+    wrong = se.evaluate(model, vocab, examples, beam_size=3, k=2, decoder=lambda *args: result_from([["x"]]))
+    assert got["exact_match"] > 0
+    assert wrong.metrics == dict.fromkeys(got, 0.0)
 
 
 def test_evaluate_refuses_no_examples(trained_insert):

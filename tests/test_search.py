@@ -212,15 +212,6 @@ def test_merge_at_end_events_are_post_hoc():
     assert all(ev.step == -1 for ev in result.merge_events)
 
 
-def test_decode_dispatch():
-    model, vocab = small_model(seed=9)
-    during = se.decode(model, vocab, ("a",), beam_size=4, merge="during")
-    at_end = se.decode(model, vocab, ("a",), beam_size=4, merge="end")
-    assert during.candidates and at_end.candidates
-    with pytest.raises(ValueError):
-        se.decode(model, vocab, ("a",), merge="sometimes")
-
-
 def test_oov_input_tokens_copyable(trained_insert):
     # surfaces outside the vocab still decode: fed back as UNK internally
     # but emitted with their true surface when copied
