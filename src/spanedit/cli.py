@@ -7,10 +7,10 @@ the file, the file wins over defaults.  A train option named after a
 ModelConfig or TrainConfig field takes that field's default, as
 `Adam(params, lr, clip_norm)` takes TrainConfig's.  Likewise the decode and
 eval options named after an `evaluate` parameter take its default, the
-vocabulary cap is `build_vocab`'s and the corpus seed and alphabet size are
-`TaskSpec`'s.  The effective option set is hashed and stamped into output
-sidecars and checkpoints so artifacts can be traced back to the exact
-configuration that produced them.
+vocabulary cap is `build_vocab`'s and the corpus seed, alphabet size and
+input lengths are `TaskSpec`'s.  The effective option set is hashed and
+stamped into output sidecars and checkpoints so artifacts can be traced back
+to the exact configuration that produced them.
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 invalid data or configuration,
 4 training divergence.  Log verbosity comes from SPANEDIT_LOG
@@ -72,15 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_optional_int(text: str) -> int | None:
     low = str(text).strip().lower()
     if low in ("none", ""):
@@ -96,7 +87,6 @@ class Opt:
     help: str
     required: bool = False
     choices: tuple | None = None
-    is_flag: bool = False  # boolean with --name / --no-name forms
 
 
 _TASKS = tuple(kind.value for kind in TaskKind)
@@ -111,9 +101,8 @@ _GEN_OPTS = (
     Opt("task", str, None, "edit task to generate", required=True, choices=_TASKS),
     Opt("count", int, None, "number of examples", required=True),
     Opt("seed", int, _default(TaskSpec, "seed"), "corpus seed"),
-    # 6-14, the acceptance task's lengths; TaskSpec's own defaults differ
-    Opt("min_len", int, 6, f"minimum input length (default 6; TaskSpec's is {TaskSpec.min_len})"),
-    Opt("max_len", int, 14, f"maximum input length (default 14; TaskSpec's is {TaskSpec.max_len})"),
+    Opt("min_len", int, _default(TaskSpec, "min_len"), "minimum input length"),
+    Opt("max_len", int, _default(TaskSpec, "max_len"), "maximum input length"),
     Opt("alphabet_size", int, _default(TaskSpec, "alphabet_size"), "distinct content tokens"),
     Opt("out", str, None, "output directory for train/valid/test.jsonl", required=True),
 )
@@ -143,7 +132,6 @@ _TRAIN_OPTS = (
     _knob("enc_layers", int, "encoder layers"),
     _knob("dec_hidden", int, "decoder hidden size"),
     _knob("dropout", float, "dropout rate"),
-    _knob("tie_embeddings", _parse_bool, "tie output projection to embeddings", is_flag=True),
     _knob("max_copy_len", _parse_optional_int, "copy span cap: none or 1"),
     _knob("precision", str, "parameter dtype", choices=PRECISIONS),
     _knob("init_seed", int, "parameter init seed"),
@@ -167,7 +155,7 @@ _READ_OPTS = (
     Opt("split", str, "test", "corpus split", choices=("train", "valid", "test", "all")),
     Opt("max_len", _parse_optional_int, None, "output token budget (default 2n+16)"),
 )
-_BEAM_SIZE = Opt("beam_size", int, _default(evaluate, "beam_size"), "beam width")
+_BEAM_SIZE = Opt("beam_size", int, _default(evaluate, "beam_size"), "beam width (greedy ignores it)")
 
 _DECODE_OPTS = _READ_OPTS + (
     Opt("data", str, None, "corpus to decode (gen-data directory or JSONL file)"),
@@ -207,17 +195,10 @@ def _build_parser() -> _Parser:
         p.error = parser.error  # single error pathway
         p.add_argument("--config", default=None, help="key=value config file")
         for o in opts:
-            flag = "--" + o.name.replace("_", "-")
-            if o.is_flag:
-                p.add_argument(
-                    flag, dest=o.name, action=argparse.BooleanOptionalAction,
-                    default=argparse.SUPPRESS, help=o.help,
-                )
-            else:
-                p.add_argument(
-                    flag, dest=o.name, type=o.type, default=argparse.SUPPRESS,
-                    choices=o.choices, help=o.help,
-                )
+            p.add_argument(
+                "--" + o.name.replace("_", "-"), dest=o.name, type=o.type,
+                default=argparse.SUPPRESS, choices=o.choices, help=o.help,
+            )
     return parser
 
 
@@ -329,7 +310,6 @@ def _cmd_gen_data(opt: dict) -> int:
     spec = TaskSpec(**_field_values(TaskSpec, opt, kind=opt["task"]))
     examples = generate_corpus(spec, opt["count"])
     out_dir = Path(opt["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     splits = _split_by_index(examples)
     for name, exs in splits.items():
         write_corpus(out_dir / f"{name}.jsonl", exs)

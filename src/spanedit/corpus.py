@@ -111,8 +111,8 @@ def alphabet_surfaces(kind: TaskKind, size: int) -> list[str]:
 class TaskSpec:
     kind: TaskKind
     alphabet_size: int = 6
-    min_len: int = 4
-    max_len: int = 12
+    min_len: int = 6
+    max_len: int = 14
     seed: int = 0
 
     def __post_init__(self):

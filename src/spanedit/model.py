@@ -5,9 +5,11 @@ two-direction `ad.gru_sequence` run, the summary's two end states read from
 the last layer by one gather), a single-layer GRU decoder whose state
 depends only on the tokens consumed so far, multiplicative
 attention, and one softmax over all actions: every vocab token plus every
-contiguous input span (i, j), i < j.  A span's score is bilinear in the
-decoder's attended state and the concatenated encoder states at the span's
-first and last token, which factors as start[i] + end[j-1].  Training and
+contiguous input span (i, j), i < j.  The vocab scores of an attended state
+h are `(h W_projᵀ) Eᵀ + b`: the output layer is tied to the input
+embedding E.  A span's score is bilinear in the decoder's attended state
+and the concatenated encoder states at the span's first and last token,
+which factors as start[i] + end[j-1].  Training and
 decoding (on a batch of one) score through that factored form; only the
 brute-force oracle materializes the [n, n] span matrix.
 
@@ -53,7 +55,6 @@ class ModelConfig:
     enc_layers: int = 2
     dec_hidden: int = 64
     dropout: float = 0.2
-    tie_embeddings: bool = True
     # None allows spans of any length; 1 restricts copying to single tokens
     # (the token-pointer baseline).  Other caps are not supported.
     max_copy_len: int | None = None
@@ -156,10 +157,7 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["attn.b_c"] = (d,)
     shapes["span.W_start"] = (d, c)
     shapes["span.W_end"] = (d, c)
-    if cfg.tie_embeddings:
-        shapes["out.W_proj"] = (e, d)
-    else:
-        shapes["out.W"] = (v, d)
+    shapes["out.W_proj"] = (e, d)
     shapes["out.b"] = (v,)
     return shapes
 
@@ -186,15 +184,19 @@ def init_parameters(cfg: ModelConfig) -> dict[str, Tensor]:
 # The JSON types each ModelConfig field's annotation admits in a checkpoint
 # header: a float field takes an integral number too, an int field no bool.
 _CONFIG_JSON_TYPES = {
-    "int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None)), "str": (str,),
+    "int": (int,), "float": (int, float), "int | None": (int, type(None)), "str": (str,),
 }
 
 
 def _config_from_json(path, doc) -> ModelConfig:
     """The ModelConfig of a checkpoint header's `config` mapping, with every
-    key a field and every value of the field's JSON type."""
+    key a field and every value of the field's JSON type.  Format 1 headers
+    also record `tie_embeddings`, which must be true when present."""
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: 'config' must be a mapping, got {type(doc).__name__}")
+    doc = dict(doc)
+    if (tied := doc.pop("tie_embeddings", True)) is not True:
+        raise ModelError(f"{path}: model config 'tie_embeddings' must be true, got {tied!r}")
     annotation = {f.name: f.type for f in fields(ModelConfig)}
     for key, value in doc.items():
         if key not in annotation:
@@ -325,12 +327,8 @@ class SpanCopyModel:
 
     def vocab_scores(self, ht: Tensor) -> Tensor:
         """Attended states [..., d] -> vocab scores [..., V], -inf at PAD and START."""
-        if self.config.tie_embeddings:
-            proj = ad.matmul(ht, self._p("out.W_proj"), transpose_b=True)
-            vs = ad.matmul(proj, self._p("embed.E"), transpose_b=True)
-        else:
-            vs = ad.matmul(ht, self._p("out.W"), transpose_b=True)
-        vs = ad.add(vs, self._p("out.b"))
+        proj = ad.matmul(ht, self._p("out.W_proj"), transpose_b=True)
+        vs = ad.add(ad.matmul(proj, self._p("embed.E"), transpose_b=True), self._p("out.b"))
         return ad.masked_fill(vs, self._vocab_mask, ad.NEG_INF)
 
     def span_projections(self, ctx: Tensor) -> tuple[Tensor, Tensor]:
@@ -371,7 +369,13 @@ class SpanCopyModel:
     # -- persistence
 
     def save(self, path, header_extra: dict | None = None) -> None:
-        extra = {"config": asdict(self.config)}
+        # format 1 records the output layer as tied, right after `dropout`
+        config = {}
+        for key, value in asdict(self.config).items():
+            config[key] = value
+            if key == "dropout":
+                config["tie_embeddings"] = True
+        extra = {"config": config}
         if header_extra:
             extra.update(header_extra)
         per_gate = _per_gate_names(self.config)

@@ -523,7 +523,10 @@ def train(
     valid = _validation_buckets(pairs_of(valid_examples), vocab, cap)
     opt = Adam(model.params, lr=cfg.lr, clip_norm=cfg.clip_norm)
     records: list[dict] = []
-    log_file = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else None
+    log_file = None
+    if cfg.log_path:
+        Path(cfg.log_path).parent.mkdir(parents=True, exist_ok=True)
+        log_file = open(cfg.log_path, "w", encoding="utf-8")
     try:
         for epoch in range(1, cfg.epochs + 1):
             start = time.perf_counter()

@@ -73,6 +73,11 @@ def test_gen_data_deterministic(tmp_path):
     assert run_cli(*args, "--out", str(b))[0] == 0
     for name in ("train.jsonl", "valid.jsonl", "test.jsonl"):
         assert (a / name).read_text() == (b / name).read_text()
+    # with no length flags, the corpus is the one TaskSpec's defaults make
+    want = se.generate_corpus(se.TaskSpec("delete", seed=3), 40)
+    for name in ("train", "valid", "test"):
+        split = [ex for i, ex in enumerate(want) if se.split_bucket(i) == name]
+        assert se.read_corpus(a / f"{name}.jsonl") == split, name
 
 
 def test_train_artifacts(trained_artifacts):
@@ -215,6 +220,7 @@ MALFORMED_CHECKPOINTS = {
     "config_wrong_type": (lambda doc: _set(doc["config"], "vocab_size", "6"), "vocab_size"),
     "config_not_a_mapping": (lambda doc: _set(doc, "config", [1, 2]), "config"),
     "config_lacks_vocab_size": (lambda doc: doc["config"].pop("vocab_size"), "vocab_size"),
+    "config_untied": (lambda doc: _set(doc["config"], "tie_embeddings", False), "tie_embeddings"),
     # non-validating base64 would drop the stray characters and load the values
     "data_not_strict_base64": (
         lambda doc: _set(doc["params"]["out.b"], "data", "\n*" + doc["params"]["out.b"]["data"]),
@@ -376,7 +382,7 @@ def test_decode_and_data_options_default_to_their_owners():
                 assert default == evaluate_defaults[name], (command, name)
     assert opts["train"]["vocab_size"].default == inspect.signature(se.build_vocab).parameters["max_size"].default
     task_fields = {f.name: f.default for f in dataclasses.fields(se.TaskSpec)}
-    for name in ("seed", "alphabet_size"):
+    for name in ("seed", "alphabet_size", "min_len", "max_len"):
         assert opts["gen-data"][name].default == task_fields[name], name
     assert set(_DECODERS.values()) == {se.greedy_decode, se.beam_decode, se.beam_decode_merge_at_end}
     assert opts["decode"]["decoder"].choices == tuple(_DECODERS)
@@ -390,7 +396,7 @@ def test_decode_and_data_options_default_to_their_owners():
         "from spanedit import corpus, metrics, search\n"
         "metrics.evaluate.__defaults__ = (7, 3, None, search.beam_decode_merge_at_end)\n"
         "corpus.build_vocab.__defaults__ = (99,)\n"
-        "corpus.TaskSpec.__init__.__defaults__ = (4, 4, 12, 11)\n"
+        "corpus.TaskSpec.__init__.__defaults__ = (4, 3, 9, 11)\n"
         "from spanedit.cli import _COMMANDS\n"
         "print(json.dumps({c: {o.name: o.default for o in opts} for c, opts in _COMMANDS.items()}))\n"
     )
@@ -403,7 +409,8 @@ def test_decode_and_data_options_default_to_their_owners():
         assert moved[command]["decoder"] == "beam_merge_at_end"
     assert moved["eval"]["k"] == 3
     assert moved["train"]["vocab_size"] == 99
-    assert (moved["gen-data"]["seed"], moved["gen-data"]["alphabet_size"]) == (11, 4)
+    gen = moved["gen-data"]
+    assert (gen["seed"], gen["alphabet_size"], gen["min_len"], gen["max_len"]) == (11, 4, 3, 9)
 
 
 def test_config_hash_stable_and_order_free():
@@ -465,6 +472,36 @@ def test_exit_code_validation(tmp_path):
     assert code == 3
 
 
+def test_train_has_no_output_layer_option(corpus_dir, tmp_path):
+    # the output layer is always tied to the embedding: there is no flag
+    # form and no config key to untie it
+    out = tmp_path / "m.json"
+    args = ("train", "--data", str(corpus_dir), "--out", str(out), "--epochs", "1")
+    for flag in ("--tie-embeddings", "--no-tie-embeddings"):
+        assert run_cli(*args, flag)[0] == 1
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("tie_embeddings = true\n")
+    assert run_cli(*args, "--config", str(cfg))[0] == 3
+    assert not out.exists()
+
+
+def test_writers_create_missing_directories(corpus_dir, tmp_path):
+    # as in the README's train command, which writes into runs/dup/
+    run = tmp_path / "runs" / "dup"
+    model, log = run / "model.json", run / "logs" / "log.jsonl"
+    code, _ = run_cli(
+        "train", "--data", str(corpus_dir), "--out", str(model), "--log", str(log),
+        "--epochs", "1", "--embed-dim", "4", "--enc-hidden", "4", "--dec-hidden", "4",
+    )
+    assert code == 0
+    assert model.exists() and log.exists() and model.with_name("model.json.meta.json").exists()
+    read = ("--model", str(model), "--vocab", str(model) + ".vocab", "--data", str(corpus_dir))
+    for command, extra in (("decode", ("--beam-size", "2")), ("eval", ("--beam-size", "2")), ("stats", ())):
+        out = tmp_path / "nodir" / command / "out"
+        assert run_cli(command, *read, *extra, "--out", str(out))[0] == 0, command
+        assert out.exists() and out.with_name("out.meta.json").exists(), command
+
+
 def test_train_rejects_nonpositive_clip_norm(corpus_dir, tmp_path):
     out = tmp_path / "m.json"
     code, _ = run_cli("train", "--data", str(corpus_dir), "--out", str(out),
@@ -519,14 +556,10 @@ def test_log_levels_named_in_readme_run(tmp_path, monkeypatch):
 
 def test_readme_cli_flags_exist():
     # every --flag the README's CLI section names is an option of some
-    # subcommand, --config, or the --no- form of a flag option
+    # subcommand, or --config
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    known = {"--config"}
-    for opts in _COMMANDS.values():
-        for o in opts:
-            flag = "--" + o.name.replace("_", "-")
-            known |= {flag, "--no-" + flag[2:]} if o.is_flag else {flag}
+    known = {"--config"} | {"--" + o.name.replace("_", "-") for opts in _COMMANDS.values() for o in opts}
     named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
     assert named
     assert sorted(named - known) == []

@@ -76,12 +76,6 @@ def test_init_seed_changes_weights():
     assert not np.array_equal(a, b)
 
 
-def test_untied_output_projection():
-    vocab, _ = tiny_vocab()
-    model = tiny_model(vocab, tie_embeddings=False)
-    assert "out.W" in model.params and "out.W_proj" not in model.params
-
-
 def test_encode_shapes():
     vocab, letters = tiny_vocab()
     model = tiny_model(vocab)
@@ -264,7 +258,7 @@ def test_every_parameter_gets_gradient(rng):
 
 def test_save_load_roundtrip(tmp_path, rng):
     vocab, letters = tiny_vocab()
-    model = random_params_model(vocab, rng, max_copy_len=1, tie_embeddings=False)
+    model = random_params_model(vocab, rng, max_copy_len=1)
     path = tmp_path / "m.json"
     model.save(path, header_extra={"tag": "x"})
     loaded = se.SpanCopyModel.load(path)
@@ -283,6 +277,26 @@ def test_checkpoint_file_layout_unchanged(tmp_path):
     out = tmp_path / "m.json"
     se.SpanCopyModel.load(frozen).save(out)
     assert out.read_bytes() == frozen.read_bytes()
+
+
+def test_checkpoint_header_records_tied_output_layer(tmp_path):
+    # format 1 headers record `tie_embeddings`: true, or absent, loads;
+    # any other value is refused, naming the file and the key
+    vocab, _ = tiny_vocab()
+    model = tiny_model(vocab)
+    path = tmp_path / "m.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    assert doc["config"]["tie_embeddings"] is True
+    del doc["config"]["tie_embeddings"]
+    path.write_text(json.dumps(doc))
+    assert se.SpanCopyModel.load(path).config == model.config
+    for value in (False, 1, None):
+        doc["config"]["tie_embeddings"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(se.ModelError) as err:
+            se.SpanCopyModel.load(path)
+        assert str(path) in str(err.value) and "'tie_embeddings'" in str(err.value)
 
 
 def test_load_names_missing_gate(tmp_path):

@@ -101,10 +101,9 @@ def test_teacher_forced_distributions_are_normalized(rng):
         assert normalization_defect(*dist) <= 1e-6
 
 
-@pytest.mark.parametrize("tie_embeddings", [True, False])
 @pytest.mark.parametrize("max_copy_len", [None, 1])
 @pytest.mark.parametrize("precision, tol", [("float64", 1e-12), ("float32", 1e-5)])
-def test_decode_scores_match_full_matrix_softmax(tie_embeddings, max_copy_len, precision, tol):
+def test_decode_scores_match_full_matrix_softmax(max_copy_len, precision, tol):
     # the model's factored normalizer against the oracle's materialized
     # [V + n^2] joint softmax, on the same attended states.  In float32 the
     # two round apart by a few ulps of log-probs up to ~11 in magnitude: at
@@ -112,10 +111,7 @@ def test_decode_scores_match_full_matrix_softmax(tie_embeddings, max_copy_len, p
     vocab, letters = tiny_vocab()
     rng = np.random.default_rng(12)
     for n in range(1, 9):
-        model = random_params_model(
-            vocab, rng, precision=precision, max_copy_len=max_copy_len,
-            tie_embeddings=tie_embeddings,
-        )
+        model = random_params_model(vocab, rng, precision=precision, max_copy_len=max_copy_len)
         x = tuple(letters[i] for i in rng.integers(0, len(letters), size=n))
         with se.no_grad():
             enc = model.encode_batch([vocab.ids(x)])
