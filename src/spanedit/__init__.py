@@ -27,7 +27,7 @@ from .corpus import (
     split_bucket,
     write_corpus,
 )
-from .metrics import EvalReport, evaluate, span_length_stats, structural_match
+from .metrics import EvalReport, evaluate, structural_match
 from .model import (
     Action,
     Copy,
@@ -114,7 +114,6 @@ __all__ = [
     "no_grad",
     "read_corpus",
     "save_vocab",
-    "span_length_stats",
     "split_bucket",
     "structural_match",
     "train",

@@ -16,13 +16,13 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path, newline: str | None = None):
+def atomic_write(path):
     """Yield a UTF-8 text handle whose contents replace `path` on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

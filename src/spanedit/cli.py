@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: gen-data, train, decode, eval, stats.  Every option can also be
+Subcommands: gen-data, train, decode, eval.  Every option can also be
 supplied through a flat key=value config file (--config), where a `#` that
 opens a line or follows whitespace starts a comment; explicit flags win over
 the file, the file wins over defaults.  A train option named after a
@@ -46,7 +46,7 @@ from .corpus import (
     split_bucket,
     write_corpus,
 )
-from .metrics import evaluate, span_length_stats, write_histogram_csv
+from .metrics import evaluate
 from .model import PRECISIONS, Gen, ModelConfig, ModelError, SpanCopyModel
 from .objective import OBJECTIVES, DivergenceError, TrainConfig, train
 from .search import beam_decode, beam_decode_merge_at_end, greedy_decode
@@ -148,7 +148,7 @@ _BEAMS = tuple(name for name in _DECODERS if name != "greedy")
 # --decoder's default is the name of evaluate's
 _DEFAULT_DECODER = {f: name for name, f in _DECODERS.items()}[_default(evaluate, "decoder")]
 
-# options that decode, eval and stats share
+# options that decode and eval share
 _READ_OPTS = (
     Opt("model", str, None, "checkpoint path", required=True),
     Opt("vocab", str, None, "vocab path", required=True),
@@ -173,17 +173,11 @@ _EVAL_OPTS = _READ_OPTS + (
     Opt("k", int, _default(evaluate, "k"), "rank cutoff for accuracy@k"),
 )
 
-_STATS_OPTS = _READ_OPTS + (
-    Opt("data", str, None, "corpus to trace (gen-data directory or JSONL file)", required=True),
-    Opt("out", str, None, "span length histogram CSV path", required=True),
-)
-
 _COMMANDS: dict[str, tuple[Opt, ...]] = {
     "gen-data": _GEN_OPTS,
     "train": _TRAIN_OPTS,
     "decode": _DECODE_OPTS,
     "eval": _EVAL_OPTS,
-    "stats": _STATS_OPTS,
 }
 
 
@@ -427,33 +421,11 @@ def _cmd_eval(opt: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(opt: dict) -> int:
-    model, vocab = _load_model_vocab(opt)
-    examples = _load_nonempty_split(opt)
-    traces = [
-        greedy_decode(model, vocab, list(ex.input), opt["max_len"]).actions for ex in examples
-    ]
-    stats = span_length_stats(traces)
-    write_histogram_csv(opt["out"], stats)
-    _write_meta(str(opt["out"]) + ".meta.json", "stats", opt)
-    summary = {
-        "n_examples": len(examples),
-        "total_copies": stats.total_copies,
-        "total_actions": stats.total_actions,
-        "mean_copy_len": stats.mean,
-        "median_copy_len": stats.median,
-        "single_copy_fraction": stats.single_copy_fraction,
-    }
-    sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
-    return EXIT_OK
-
-
 _RUNNERS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "decode": _cmd_decode,
     "eval": _cmd_eval,
-    "stats": _cmd_stats,
 }
 
 
@@ -474,7 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
-            raise UsageError("spanedit: a command is required (gen-data, train, decode, eval, stats)")
+            raise UsageError(f"spanedit: a command is required ({', '.join(_COMMANDS)})")
         options = _effective_options(args, _COMMANDS[args.command])
         return _RUNNERS[args.command](options)
     except UsageError as err:

@@ -1,18 +1,18 @@
-"""Evaluation metrics, reports, and decode-trace statistics."""
+"""Ranking metrics, structural match, and eval reports with greedy's copy lengths."""
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 import statistics
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections import Counter
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 from .atomic import atomic_write
 from .corpus import EditExample, Vocab
 from .model import Action, Copy, SpanCopyModel
-from .search import BeamResult, beam_decode
+from .search import BeamResult, beam_decode, greedy_decode
 
 _ID_TOKEN = re.compile(r"^id\d+$")
 
@@ -65,55 +65,13 @@ def structural_match(pred: Sequence[str], gold: Sequence[str]) -> bool:
 
 
 @dataclass
-class SpanLengthStats:
-    """Shape of the copies a decoder actually uses, from greedy traces."""
-
-    histogram: dict[int, int] = field(default_factory=dict)
-    total_copies: int = 0
-    total_actions: int = 0
-    mean: float = 0.0
-    median: float = 0.0
-    single_copy_fraction: float = 0.0
-
-
-def span_length_stats(traces: Iterable[Sequence[Action]]) -> SpanLengthStats:
-    lengths: list[int] = []
-    total_actions = 0
-    for trace in traces:
-        for a in trace:
-            total_actions += 1
-            if isinstance(a, Copy):
-                lengths.append(a.end - a.start)
-    hist: dict[int, int] = {}
-    for length in lengths:
-        hist[length] = hist.get(length, 0) + 1
-    if not lengths:
-        return SpanLengthStats(hist, 0, total_actions)
-    return SpanLengthStats(
-        histogram=dict(sorted(hist.items())),
-        total_copies=len(lengths),
-        total_actions=total_actions,
-        mean=sum(lengths) / len(lengths),
-        median=float(statistics.median(lengths)),
-        single_copy_fraction=hist.get(1, 0) / len(lengths),
-    )
-
-
-def write_histogram_csv(path, stats: SpanLengthStats) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["span_length", "count"])
-        for length, count in sorted(stats.histogram.items()):
-            writer.writerow([length, count])
-
-
-@dataclass
 class EvalReport:
     n_examples: int
     beam_size: int
     k: int
     metrics: dict[str, float]
     per_task: dict[str, dict[str, float]]
+    greedy: dict[str, object]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -130,6 +88,21 @@ def _aggregate(rows: list[dict[str, float]]) -> dict[str, float]:
     return {key: sum(r[key] for r in rows) / len(rows) for key in keys}
 
 
+def _copy_figures(traces: Sequence[Sequence[Action]]) -> dict[str, object]:
+    """`evaluate`'s `greedy` figures, from greedy's action traces."""
+    lengths = [a.end - a.start for trace in traces for a in trace if isinstance(a, Copy)]
+    hist = dict(sorted(Counter(lengths).items()))
+    n = len(lengths)
+    return {
+        "total_copies": n,
+        "total_actions": sum(len(trace) for trace in traces),
+        "mean_copy_len": sum(lengths) / n if n else 0.0,
+        "median_copy_len": float(statistics.median(lengths)) if n else 0.0,
+        "single_copy_fraction": hist.get(1, 0) / n if n else 0.0,
+        "histogram": hist,
+    }
+
+
 def evaluate(
     model: SpanCopyModel,
     vocab: Vocab,
@@ -143,6 +116,13 @@ def evaluate(
 
     `decoder` is the beam that ranks: `search.beam_decode` (the default)
     merges rays during search, `search.beam_decode_merge_at_end` after it.
+    An example it returns no candidate for scores a miss on every metric.
+    Each example is also greedy-decoded once, with the same max_len, and
+    `greedy` holds those traces' figures: the number of decisions greedy
+    takes (`total_actions`, emitting actions only, EOS not counted), its
+    copies (`total_copies`), their mean and median length and the share of
+    length 1 (each 0 when greedy never copies), and `histogram`, copies
+    counted by length.
 
     input_mrr is the reciprocal rank of the unedited input among candidates;
     high values flag a model that learned to copy rather than edit.  It is a
@@ -160,12 +140,15 @@ def evaluate(
             "accuracy_at_k": float(accuracy_at_k(result, ex.output, k)),
             "mrr": reciprocal_rank(result, ex.output),
             "structural_match": float(
-                result.best.finished and structural_match(result.best.tokens, ex.output)
+                bool(result.candidates)
+                and result.best.finished
+                and structural_match(result.best.tokens, ex.output)
             ),
             "input_mrr": reciprocal_rank(result, ex.input),
         }
 
     rows = [one(ex) for ex in examples]
+    traces = [greedy_decode(model, vocab, list(ex.input), max_len).actions for ex in examples]
     by_task: dict[str, list[dict[str, float]]] = {}
     for task, row in rows:
         by_task.setdefault(task, []).append(row)
@@ -175,4 +158,5 @@ def evaluate(
         k=k,
         metrics=_aggregate([row for _, row in rows]),
         per_task={task: _aggregate(task_rows) for task, task_rows in sorted(by_task.items())},
+        greedy=_copy_figures(traces),
     )

@@ -71,8 +71,7 @@ def training_matrix():
                 rep = se.evaluate(model, vocab, test, beam_size=20, k=20)
                 entry = {"metrics": rep.metrics}
                 if label in ("span", "multi_hot"):
-                    traces = [se.greedy_decode(model, vocab, ex.input).actions for ex in test]
-                    entry["copy_mean"] = se.span_length_stats(traces).mean
+                    entry["copy_mean"] = rep.greedy["mean_copy_len"]
                 if kind == TaskKind.DUPLICATE_SPAN and label == "span":
                     rep_end = se.evaluate(
                         model, vocab, test, beam_size=20, k=20, decoder=se.beam_decode_merge_at_end

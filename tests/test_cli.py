@@ -15,7 +15,7 @@ import pytest
 
 import spanedit as se
 from spanedit import ModelConfig, ModelError, SpanCopyModel, TrainConfig
-from spanedit.cli import _COMMANDS, _DECODERS, config_hash, main
+from spanedit.cli import _COMMANDS, _DECODERS, _RUNNERS, config_hash, main
 from spanedit.model import PRECISIONS
 
 
@@ -274,18 +274,34 @@ def test_eval_report(trained_artifacts, corpus_dir, tmp_path):
     assert report["metrics"]["accuracy_at_k"] >= report["metrics"]["exact_match"]
 
 
-def test_stats_csv(trained_artifacts, corpus_dir, tmp_path):
+def test_eval_greedy_agrees_with_decode_traces(trained_artifacts, corpus_dir):
+    # eval's greedy figures count the traces decode --decoder greedy prints
+    # for the same split
+    model, vocab, _ = trained_artifacts
+    read = ("--model", str(model), "--vocab", str(vocab), "--data", str(corpus_dir), "--split", "test")
+    code, report = run_cli("eval", *read, "--beam-size", "2", "--k", "2")
+    assert code == 0
+    greedy = json.loads(report)["greedy"]
+    code, decoded = run_cli("decode", *read, "--decoder", "greedy")
+    assert code == 0
+    traces = [json.loads(line)["trace"] for line in decoded.splitlines()]
+    copies = [op["end"] - op["start"] for trace in traces for op in trace if op["op"] == "copy"]
+    assert copies
+    assert greedy["total_copies"] == len(copies) == sum(greedy["histogram"].values())
+    assert greedy["histogram"] == {str(n): copies.count(n) for n in set(copies)}
+    assert greedy["total_actions"] == sum(map(len, traces))
+
+
+def test_stats_command_is_gone(trained_artifacts, corpus_dir, tmp_path):
+    # eval reports greedy's copy lengths; there is no second command for them
     model, vocab, _ = trained_artifacts
     out = tmp_path / "spans.csv"
     code, text = run_cli(
         "stats", "--model", str(model), "--vocab", str(vocab),
         "--data", str(corpus_dir), "--split", "test", "--out", str(out),
     )
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "span_length,count"
-    summary = json.loads(text)
-    assert summary["total_copies"] == sum(int(l.split(",")[1]) for l in lines[1:])
+    assert (code, text) == (1, "")
+    assert not out.exists()
 
 
 def test_decode_bare_jsonl_corpus(trained_artifacts, corpus_dir, tmp_path):
@@ -299,7 +315,7 @@ def test_decode_bare_jsonl_corpus(trained_artifacts, corpus_dir, tmp_path):
     assert out.strip()
 
 
-@pytest.mark.parametrize("command", ["decode", "eval", "stats"])
+@pytest.mark.parametrize("command", ["decode", "eval"])
 def test_empty_split_is_refused(trained_artifacts, tmp_path, command):
     # an 8-example corpus splits 7/0/1, so its valid split is empty; decode
     # used to exit 0 with an empty output file
@@ -496,9 +512,9 @@ def test_writers_create_missing_directories(corpus_dir, tmp_path):
     assert code == 0
     assert model.exists() and log.exists() and model.with_name("model.json.meta.json").exists()
     read = ("--model", str(model), "--vocab", str(model) + ".vocab", "--data", str(corpus_dir))
-    for command, extra in (("decode", ("--beam-size", "2")), ("eval", ("--beam-size", "2")), ("stats", ())):
+    for command in ("decode", "eval"):
         out = tmp_path / "nodir" / command / "out"
-        assert run_cli(command, *read, *extra, "--out", str(out))[0] == 0, command
+        assert run_cli(command, *read, "--beam-size", "2", "--out", str(out))[0] == 0, command
         assert out.exists() and out.with_name("out.meta.json").exists(), command
 
 
@@ -563,6 +579,19 @@ def test_readme_cli_flags_exist():
     named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
     assert named
     assert sorted(named - known) == []
+
+
+def test_one_command_list(capsys):
+    # every command has a runner, the usage error names them all, and every
+    # `spanedit <command>` line in the README's code blocks names one
+    assert set(_RUNNERS) == set(_COMMANDS)
+    assert main([]) == 1
+    assert f"({', '.join(_COMMANDS)})" in capsys.readouterr().err
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme, re.S | re.M)
+    named = re.findall(r"^\s*spanedit\s+(\S+)", "\n".join(blocks), re.M)
+    assert named
+    assert sorted(set(named) - set(_COMMANDS)) == []
 
 
 def test_console_entry_point():

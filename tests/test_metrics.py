@@ -1,19 +1,12 @@
-"""Ranking metrics, structural match and span-length statistics."""
+"""Ranking metrics, structural match and greedy's copy figures in eval reports."""
 
-import csv
 import json
+import statistics
 
 import pytest
 
 import spanedit as se
-from spanedit.metrics import (
-    accuracy_at_k,
-    exact_match,
-    hit_rank,
-    reciprocal_rank,
-    span_length_stats,
-    write_histogram_csv,
-)
+from spanedit.metrics import _copy_figures, accuracy_at_k, exact_match, hit_rank, reciprocal_rank
 from spanedit.search import BeamResult, DecodedCandidate
 
 
@@ -97,41 +90,29 @@ def test_exact_implies_structural():
     assert se.structural_match(res.candidates[0].tokens, gold)
 
 
-def test_span_length_stats():
-    traces = [
-        [se.Copy(0, 2), se.Gen(5), se.Copy(3, 5)],
-        [se.Gen(4)],
-    ]
-    stats = span_length_stats(traces)
-    assert stats.histogram == {2: 2}
-    assert stats.total_copies == 2
-    assert stats.total_actions == 4
-    assert stats.mean == 2.0
-    assert stats.median == 2.0
-    assert stats.single_copy_fraction == 0.0
+def test_copy_figures():
+    traces = [[se.Copy(0, 1), se.Gen(5), se.Copy(1, 4)], [se.Copy(2, 3)], []]
+    assert _copy_figures(traces) == {
+        "total_copies": 3,
+        "total_actions": 4,
+        "mean_copy_len": 5 / 3,
+        "median_copy_len": 1.0,
+        "single_copy_fraction": 2 / 3,
+        "histogram": {1: 2, 3: 1},
+    }
 
 
-def test_span_length_stats_no_copies():
-    stats = span_length_stats([[se.Gen(4), se.Gen(5)]])
-    assert stats.histogram == {}
-    assert stats.total_copies == 0
-    assert stats.mean == 0.0
-
-
-def test_histogram_total_matches_copy_count():
-    traces = [[se.Copy(0, 1), se.Copy(1, 4)], [se.Copy(2, 3)]]
-    stats = span_length_stats(traces)
-    assert sum(stats.histogram.values()) == stats.total_copies == 3
-    assert stats.single_copy_fraction == pytest.approx(2 / 3)
-
-
-def test_histogram_csv(tmp_path):
-    stats = span_length_stats([[se.Copy(0, 2), se.Copy(0, 1)]])
-    path = tmp_path / "h.csv"
-    write_histogram_csv(path, stats)
-    rows = list(csv.reader(path.read_text().splitlines()))
-    assert rows[0] == ["span_length", "count"]
-    assert rows[1:] == [["1", "1"], ["2", "1"]]
+def test_copy_figures_without_copies_read_zero():
+    for traces in ([[se.Gen(4), se.Gen(5)]], [[]], []):
+        got = _copy_figures(traces)
+        assert got == {
+            "total_copies": 0,
+            "total_actions": sum(map(len, traces)),
+            "mean_copy_len": 0.0,
+            "median_copy_len": 0.0,
+            "single_copy_fraction": 0.0,
+            "histogram": {},
+        }, traces
 
 
 def test_eval_report_shape(trained_insert):
@@ -144,6 +125,26 @@ def test_eval_report_shape(trained_insert):
     for key in ("exact_match", "accuracy_at_k", "mrr", "structural_match", "input_mrr"):
         assert key in blob["metrics"]
     assert "insert" in blob["per_task"]
+
+
+def test_eval_report_carries_greedy_copy_figures(trained_insert):
+    # report.greedy is read off one greedy decode per example, at the
+    # ranking beam's max_len
+    model, vocab, splits, _ = trained_insert
+    examples = splits["test"][:8]
+    for max_len in (None, 3):
+        traces = [se.greedy_decode(model, vocab, ex.input, max_len).actions for ex in examples]
+        lengths = [a.end - a.start for t in traces for a in t if isinstance(a, se.Copy)]
+        assert lengths
+        got = se.evaluate(model, vocab, examples, beam_size=2, k=2, max_len=max_len).greedy
+        assert got == {
+            "total_copies": len(lengths),
+            "total_actions": sum(len(t) for t in traces),
+            "mean_copy_len": statistics.mean(lengths),
+            "median_copy_len": statistics.median(lengths),
+            "single_copy_fraction": lengths.count(1) / len(lengths),
+            "histogram": {n: lengths.count(n) for n in sorted(set(lengths))},
+        }, max_len
 
 
 def test_evaluate_ranks_with_its_decoder(trained_insert):
@@ -170,6 +171,9 @@ def test_evaluate_ranks_with_its_decoder(trained_insert):
     wrong = se.evaluate(model, vocab, examples, beam_size=3, k=2, decoder=lambda *args: result_from([["x"]]))
     assert got["exact_match"] > 0
     assert wrong.metrics == dict.fromkeys(got, 0.0)
+    # and one that returns no candidate scores a miss on every metric
+    empty = se.evaluate(model, vocab, examples, beam_size=3, k=2, decoder=lambda *args: BeamResult([], []))
+    assert empty.metrics == dict.fromkeys(got, 0.0)
 
 
 def test_evaluate_refuses_no_examples(trained_insert):

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -647,3 +649,54 @@ def test_validation_memory_stays_linear_in_span_count():
     loss_peak = peak(loss_only)
     valid_peak = peak(lambda: _dataset_loss(model, vocab, valid, "marginal"))
     assert valid_peak <= 1.5 * loss_peak, (valid_peak, loss_peak)
+
+
+def test_op_element_counts_grow_at_most_quadratically(monkeypatch):
+    # criterion 10's pairs, measured by the elements each op makes instead of
+    # time: the counts are fixed by the code, so no load moves them, and a
+    # cubic op such as a [B, K, n, n] block shows as a slope near 3
+    surfaces = alphabet_surfaces(TaskKind.DELETE, 12)
+    vocab = se.Vocab(list(RESERVED_SURFACES) + surfaces)
+    rng = np.random.default_rng(42)
+
+    def pair(N):
+        xs = [surfaces[i] for i in rng.integers(0, 12, size=N)]
+        ys = list(xs)
+        ys[N // 2] = surfaces[(surfaces.index(xs[N // 2]) + 1) % 12]
+        return tuple(xs), tuple(ys)
+
+    cfg = se.ModelConfig(vocab_size=vocab.size, embed_dim=16, enc_hidden=16, enc_layers=2,
+                         dec_hidden=32, dropout=0.0, init_seed=0)
+    model = se.SpanCopyModel(cfg)
+    counts: dict[str, Counter] = {}  # elements by phase and op, at the current N
+    make, acc = ad._make, ad._acc
+
+    def op_name(frame) -> str:  # add.<locals>.back -> add
+        return frame.f_back.f_code.co_qualname.split(".")[0]
+
+    def counting_make(data, parents, backward):
+        counts["forward"][op_name(sys._getframe())] += np.size(data)
+        return make(data, parents, backward)
+
+    def counting_acc(t, g):
+        name = op_name(sys._getframe())
+        if name != "backward":  # the loss's seed gradient
+            counts["backward"][name] += np.size(g)
+        acc(t, g)
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    monkeypatch.setattr(ad, "_acc", counting_acc)
+    sizes = (32, 64, 128, 256)
+    per_size = []
+    for N in sizes:
+        counts = {"forward": Counter(), "backward": Counter()}
+        se.backward(se.marginal_log_likelihood(model, vocab, *pair(N)))
+        per_size.append(counts)
+    for phase in ("forward", "backward"):
+        ops = set(per_size[0][phase])
+        assert ops and all(set(c[phase]) == ops for c in per_size), phase
+        slopes = {
+            op: float(np.polyfit(np.log(sizes), np.log([c[phase][op] for c in per_size]), 1)[0])
+            for op in ops
+        }
+        assert max(slopes.values()) <= 2.1, (phase, slopes)
