@@ -8,7 +8,7 @@ produce it; decoding is a beam search that merges rays ending in the same
 tokens, which the path-independent decoder state makes exact.
 """
 
-from .autodiff import CheckpointError, Tensor, backward, grad_check, no_grad
+from .autodiff import Tensor, backward, grad_check, no_grad
 from .corpus import (
     EOS_ID,
     PAD_ID,
@@ -30,6 +30,7 @@ from .corpus import (
 from .metrics import EvalReport, evaluate, structural_match
 from .model import (
     Action,
+    CheckpointError,
     Copy,
     Gen,
     ModelConfig,

@@ -24,24 +24,16 @@ closure.  Creation order is a valid topological order because an op's output
 is always created after its inputs, so ``backward`` just replays tensors in
 descending creation order.  A graph is single-writer; independent forward
 passes may run on independent threads (grad mode is thread-local).
-
-Also home to the checkpoint container: format version 1, a JSON document
-mapping parameter name -> shape + base64 row-major little-endian payload,
-with the float precision recorded in the header, written atomically.
 """
 
 from __future__ import annotations
 
-import base64
 import itertools
-import json
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from .atomic import atomic_write
 
 NEG_INF = float("-inf")
 
@@ -653,86 +645,3 @@ def grad_check(
                 worst = max(worst, err)
     return worst
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Malformed or incompatible checkpoint file."""
-
-
-def save_checkpoint(
-    path,
-    params: dict[str, "Tensor | np.ndarray"],
-    header_extra: dict | None = None,
-) -> None:
-    arrays = {k: (v.data if isinstance(v, Tensor) else np.asarray(v)) for k, v in params.items()}
-    dtypes = {a.dtype for a in arrays.values()}
-    if len(dtypes) > 1:
-        raise CheckpointError(f"mixed parameter dtypes {sorted(map(str, dtypes))}")
-    dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-    precision = "float32" if dtype == np.float32 else "float64"
-    wire = "<f4" if precision == "float32" else "<f8"
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "precision": precision,
-        "params": {
-            name: {
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.astype(wire).tobytes(order="C")).decode("ascii"),
-            }
-            for name, arr in arrays.items()
-        },
-    }
-    if header_extra:
-        for k, v in header_extra.items():
-            if k in doc:
-                raise CheckpointError(f"header key {k!r} is reserved")
-            doc[k] = v
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (name -> array, header dict without the params)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"{path}: not valid JSON: {e.msg}") from e
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointError(f"{path}: missing format_version")
-    if doc["format_version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format_version {doc['format_version']!r}, expected {CHECKPOINT_VERSION}"
-        )
-    precision = doc.get("precision")
-    if precision not in ("float32", "float64"):
-        raise CheckpointError(f"{path}: unsupported precision {precision!r}")
-    wire = "<f4" if precision == "float32" else "<f8"
-    target = np.float32 if precision == "float32" else np.float64
-    entries = doc.get("params", {})
-    if not isinstance(entries, dict):
-        raise CheckpointError(f"{path}: 'params' must be a mapping, got {type(entries).__name__}")
-    params: dict[str, np.ndarray] = {}
-    for name, entry in entries.items():
-        if not isinstance(entry, dict) or not isinstance(entry.get("data"), str):
-            raise CheckpointError(f"{path}: param {name!r} needs a base64 string under 'data'")
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-            raise CheckpointError(f"{path}: param {name!r} shape {shape!r} is not a list of sizes")
-        shape = tuple(shape)
-        try:
-            arr = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype=wire)
-        except ValueError as e:  # not strict base64, or a partial number
-            raise CheckpointError(f"{path}: param {name!r} data: {e}") from e
-        expect = int(np.prod(shape)) if shape else 1
-        if arr.size != expect:
-            raise CheckpointError(f"{path}: param {name!r} payload size {arr.size} != shape {shape}")
-        params[name] = arr.reshape(shape).astype(target)
-    header = {k: v for k, v in doc.items() if k != "params"}
-    return params, header

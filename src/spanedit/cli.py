@@ -42,6 +42,7 @@ from .corpus import (
     generate_corpus,
     load_vocab,
     read_corpus,
+    read_text,
     save_vocab,
     split_bucket,
     write_corpus,
@@ -198,8 +199,7 @@ def _build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         # a comment starts at a '#' that opens the line or follows whitespace,
         # so a value such as a path may hold one
         body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
@@ -255,6 +255,16 @@ def _write_meta(path, command: str, options: dict, **extra) -> None:
     }
     with atomic_write(path) as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _write_output(opt: dict, command: str, text: str) -> None:
+    """`text` to stdout for `--out -`, else to `--out`, with its meta sidecar."""
+    if opt["out"] == "-":
+        sys.stdout.write(text)
+    else:
+        with atomic_write(opt["out"]) as fh:
+            fh.write(text)
+        _write_meta(str(opt["out"]) + ".meta.json", command, opt)
 
 
 def _split_by_index(examples: list[EditExample]) -> dict[str, list[EditExample]]:
@@ -382,14 +392,7 @@ def _cmd_decode(opt: dict) -> int:
     else:
         inputs = [list(ex.input) for ex in _load_nonempty_split(opt)]
     rows = [_decode_one(model, vocab, toks, opt) for toks in inputs]
-    if opt["out"] == "-":
-        for row in rows:
-            sys.stdout.write(json.dumps(row, ensure_ascii=False) + "\n")
-    else:
-        with atomic_write(opt["out"]) as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-        _write_meta(str(opt["out"]) + ".meta.json", "decode", opt)
+    _write_output(opt, "decode", "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
     logger.info("decoded %d inputs", len(rows))
     return EXIT_OK
 
@@ -409,11 +412,7 @@ def _cmd_eval(opt: dict) -> int:
         model, vocab, examples,
         beam_size=opt["beam_size"], k=opt["k"], max_len=opt["max_len"], decoder=_DECODERS[opt["decoder"]],
     )
-    if opt["out"] == "-":
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        report.save(opt["out"])
-        _write_meta(str(opt["out"]) + ".meta.json", "eval", opt)
+    _write_output(opt, "eval", report.to_json() + "\n")
     logger.info(
         "evaluated %d examples: exact match %.3f",
         report.n_examples, report.metrics["exact_match"],

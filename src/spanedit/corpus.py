@@ -18,6 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .atomic import atomic_write
@@ -250,28 +251,38 @@ def write_corpus(path, examples: Iterable[EditExample]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+def read_text(path, error: type[ValueError] = CorpusError) -> str:
+    """`path`'s UTF-8 text, newlines translated as text-mode `open` does; a
+    byte that is not UTF-8 raises `error`, naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def read_corpus(path) -> list[EditExample]:
     out: list[EditExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON: {e.msg}") from e
-            if not isinstance(rec, dict) or set(rec) != {"input", "output", "task"}:
-                raise CorpusError(
-                    f"{path}: line {lineno}: expected exactly the keys input/output/task"
-                )
-            if not isinstance(rec["input"], list) or not isinstance(rec["output"], list):
-                raise CorpusError(f"{path}: line {lineno}: input/output must be arrays")
-            if not isinstance(rec["task"], str):
-                raise CorpusError(f"{path}: line {lineno}: task must be a string")
-            try:
-                out.append(EditExample(tuple(rec["input"]), tuple(rec["output"]), rec["task"]))
-            except CorpusError as e:
-                raise CorpusError(f"{path}: line {lineno}: {e}") from e
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"{path}: line {lineno}: invalid JSON: {e.msg}") from e
+        if not isinstance(rec, dict) or set(rec) != {"input", "output", "task"}:
+            raise CorpusError(
+                f"{path}: line {lineno}: expected exactly the keys input/output/task"
+            )
+        if not isinstance(rec["input"], list) or not isinstance(rec["output"], list):
+            raise CorpusError(f"{path}: line {lineno}: input/output must be arrays")
+        if not isinstance(rec["task"], str):
+            raise CorpusError(f"{path}: line {lineno}: task must be a string")
+        try:
+            out.append(EditExample(tuple(rec["input"]), tuple(rec["output"]), rec["task"]))
+        except CorpusError as e:
+            raise CorpusError(f"{path}: line {lineno}: {e}") from e
     return out
 
 
@@ -345,8 +356,7 @@ def save_vocab(path, vocab: Vocab) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        surfaces = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    surfaces = [line for line in read_text(path).split("\n") if line]
     if len(surfaces) < 4:
         raise CorpusError(f"{path}: vocab file needs at least the 4 reserved lines")
     return Vocab(tuple(surfaces))

@@ -9,7 +9,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
-from .atomic import atomic_write
 from .corpus import EditExample, Vocab
 from .model import Action, Copy, SpanCopyModel
 from .search import BeamResult, beam_decode, greedy_decode
@@ -75,10 +74,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    def save(self, path) -> None:
-        with atomic_write(path) as fh:
-            fh.write(self.to_json() + "\n")
 
 
 def _aggregate(rows: list[dict[str, float]]) -> dict[str, float]:

@@ -21,7 +21,9 @@ training step the same kernel (`ad.gru_cell`, as its one-direction run) on
 the same stacked gate weights, so one row stepped alone from
 `initial_state` equals the teacher-forced state of `forced_states` bitwise.
 Each GRU's weights are stored as that kernel takes them, three parameters
-with the gates stacked; only checkpoint files split them per gate.
+with the gates stacked; only checkpoint files split them per gate.  The
+checkpoint format (version 1, one JSON document) is read and written by
+`SpanCopyModel.save` and `load` alone.
 A row stepped inside a larger batch may differ from the same row stepped
 alone in the last bits, since BLAS picks its kernel by shape, so beam-search
 merging does not lean on bitwise equality: a merged ray keeps the state of
@@ -30,21 +32,30 @@ its group's first member.
 
 from __future__ import annotations
 
+import base64
 import functools
+import json
 from dataclasses import dataclass, asdict, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_write
 from .autodiff import Tensor
-from .corpus import PAD_ID, START_ID, SplitMix64, mix64
+from .corpus import PAD_ID, START_ID, SplitMix64, mix64, read_text
 
 PRECISIONS = ("float32", "float64")
+CHECKPOINT_VERSION = 1
+_WIRE_DTYPES = {"float32": "<f4", "float64": "<f8"}  # a checkpoint's payloads, by precision
 
 
 class ModelError(ValueError):
     """Invalid model configuration or checkpoint mismatch."""
+
+
+class CheckpointError(ValueError):
+    """Malformed or incompatible checkpoint file."""
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,8 @@ def _gru_shapes(prefix: str, indim: int, hid: int) -> dict[str, tuple[int, ...]]
 
 
 def _per_gate_names(cfg: ModelConfig) -> dict[str, list[str]]:
-    """Stacked GRU weight -> the checkpoint names of its z, r, n row blocks.
-
-    Checkpoint files (format version 1) name each gate apart: `dec.W` is
-    saved as `dec.W_z`, `dec.W_r` and `dec.W_n`.  Only `SpanCopyModel.save`
-    and `load` use this table.
-    """
+    """Stacked GRU weight -> the checkpoint names of its z, r, n row blocks:
+    `SpanCopyModel.save` writes `dec.W` as `dec.W_z`, `dec.W_r` and `dec.W_n`."""
     prefixes = [f"enc.l{layer}.{d}." for layer in range(cfg.enc_layers) for d in ("fwd", "bwd")]
     return {p + kind: [f"{p}{kind}_{g}" for g in "zrn"] for p in prefixes + ["dec."] for kind in "WUb"}
 
@@ -208,6 +215,22 @@ def _config_from_json(path, doc) -> ModelConfig:
     return ModelConfig(**doc)
 
 
+def _read_payload(path, key: str, entry, wire: str) -> np.ndarray:
+    """A checkpoint `params` entry as an array of its `shape` and dtype `wire`."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("data"), str):
+        raise CheckpointError(f"{path}: param {key!r} needs a base64 string under 'data'")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise CheckpointError(f"{path}: param {key!r} shape {shape!r} is not a list of sizes")
+    try:
+        arr = np.frombuffer(base64.b64decode(entry["data"], validate=True), dtype=wire)
+    except ValueError as e:  # not strict base64, or a partial number
+        raise CheckpointError(f"{path}: param {key!r} data: {e}") from e
+    if arr.size != int(np.prod(shape)):
+        raise CheckpointError(f"{path}: param {key!r} payload size {arr.size} != shape {tuple(shape)}")
+    return arr.reshape(shape)
+
+
 @functools.lru_cache(maxsize=64)
 def _forbidden_spans(n: int, max_copy_len: int | None) -> np.ndarray:
     """[n, n] mask of the span cells (i, j-1) that are no action; shared, never write to it."""
@@ -225,10 +248,9 @@ class SpanCopyModel:
             extra = sorted(set(params) - set(expected))
             raise ModelError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
         for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ModelError(
-                    f"parameter {name!r} has shape {params[name].shape}, expected {shape}"
-                )
+            if (params[name].shape, params[name].dtype) != (shape, config.dtype):
+                raise ModelError(f"parameter {name!r} has shape {params[name].shape} and dtype "
+                                 f"{params[name].dtype}, expected {shape} and {config.precision}")
         self.params = params
         # Score mask: PAD and START are never generable actions.
         self._vocab_mask = np.zeros(config.vocab_size, dtype=bool)
@@ -369,40 +391,73 @@ class SpanCopyModel:
     # -- persistence
 
     def save(self, path, header_extra: dict | None = None) -> None:
-        # format 1 records the output layer as tied, right after `dropout`
+        """Write checkpoint format 1 to `path` atomically: one JSON document
+        of `format_version`, `precision`, `params` (each GRU gate apart, as a
+        `shape` and the base64 `data` of its little-endian `<f4`/`<f8`
+        payload), `config` (with `"tie_embeddings": true` after `dropout`),
+        then `header_extra`, which raises CheckpointError if it names one of
+        those four reserved keys."""
+        wire = _WIRE_DTYPES[self.config.precision]
+        per_gate = _per_gate_names(self.config)
+        params = {}
+        for name, p in self.params.items():
+            keys = per_gate.get(name, [name])
+            for key, part in zip(keys, np.split(p.data, len(keys))):
+                payload = base64.b64encode(part.astype(wire).tobytes(order="C")).decode("ascii")
+                params[key] = {"shape": list(part.shape), "data": payload}
         config = {}
         for key, value in asdict(self.config).items():
             config[key] = value
             if key == "dropout":
                 config["tie_embeddings"] = True
-        extra = {"config": config}
-        if header_extra:
-            extra.update(header_extra)
-        per_gate = _per_gate_names(self.config)
-        arrays: dict[str, np.ndarray] = {}
-        for name, p in self.params.items():
-            keys = per_gate.get(name, [name])
-            arrays.update(zip(keys, np.split(p.data, len(keys))))
-        ad.save_checkpoint(path, arrays, header_extra=extra)
+        doc = {"format_version": CHECKPOINT_VERSION, "precision": self.config.precision,
+               "params": params, "config": config}
+        for key, value in (header_extra or {}).items():
+            if key in doc:
+                raise CheckpointError(f"header key {key!r} is reserved")
+            doc[key] = value
+        with atomic_write(path) as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "SpanCopyModel":
-        arrays, header = ad.load_checkpoint(path)
-        if "config" not in header:
+        """The model `save` wrote to `path`.  CheckpointError covers the
+        document (not UTF-8, not JSON, the version, a `precision` other than
+        the config's, each `params` entry), ModelError the `config` and the
+        parameter set; every message names `path`."""
+        try:
+            doc = json.loads(read_text(path, CheckpointError))
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"{path}: not valid JSON: {e.msg}") from e
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported format_version {version!r}, expected {CHECKPOINT_VERSION}"
+            )
+        if "config" not in doc:
             raise ModelError(f"{path}: checkpoint header lacks a model config")
-        cfg = _config_from_json(path, header["config"])
+        cfg = _config_from_json(path, doc["config"])
+        if (precision := doc.get("precision")) != cfg.precision:
+            raise CheckpointError(
+                f"{path}: header 'precision' {precision!r} contradicts the model config's {cfg.precision!r}"
+            )
+        entries = doc.get("params", {})
+        if not isinstance(entries, dict):
+            raise CheckpointError(f"{path}: 'params' must be a mapping, got {type(entries).__name__}")
         per_gate = _per_gate_names(cfg)
         params: dict[str, Tensor] = {}
         for name, shape in parameter_shapes(cfg).items():
             keys = per_gate.get(name, [name])
             part = (shape[0] // len(keys), *shape[1:])
+            blocks = []
             for key in keys:
-                if key not in arrays:
+                if key not in entries:
                     raise ModelError(f"{path}: checkpoint lacks parameter {key!r}")
-                if arrays[key].shape != part:
-                    raise ModelError(f"{path}: parameter {key!r} has shape {arrays[key].shape}, expected {part}")
-            stacked = np.concatenate([arrays.pop(key) for key in keys], dtype=cfg.dtype)
-            params[name] = Tensor(stacked, requires_grad=True)
-        if arrays:
-            raise ModelError(f"{path}: unexpected parameters {sorted(arrays)}")
+                blocks.append(_read_payload(path, key, entries.pop(key), _WIRE_DTYPES[precision]))
+                if blocks[-1].shape != part:
+                    raise ModelError(f"{path}: parameter {key!r} has shape {blocks[-1].shape}, expected {part}")
+            params[name] = Tensor(np.concatenate(blocks, dtype=cfg.dtype), requires_grad=True)
+        if entries:
+            raise ModelError(f"{path}: unexpected parameters {sorted(entries)}")
         return cls(cfg, params)

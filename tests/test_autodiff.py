@@ -1,9 +1,14 @@
-"""Tape, ops, gradient checks and checkpoint files."""
+"""Tape, ops, gradient checks and the tensors a checkpoint file carries."""
+
+import json
 
 import numpy as np
 import pytest
 
+import spanedit as se
 import spanedit.autodiff as ad
+
+from conftest import random_params_model, tiny_vocab
 
 
 def t(data, grad=True):
@@ -569,38 +574,27 @@ def test_zero_grad():
     assert x.grad is None
 
 
+
 def test_checkpoint_roundtrip(tmp_path, rng):
-    params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(2,))}
+    # the file is SpanCopyModel's: every parameter tensor comes back bitwise,
+    # beside the caller's header keys
+    vocab, _ = tiny_vocab()
+    model = random_params_model(vocab, rng)
     path = tmp_path / "ck.json"
-    ad.save_checkpoint(path, {k: ad.Tensor(v) for k, v in params.items()}, {"note": 1})
-    loaded, header = ad.load_checkpoint(path)
-    assert header["note"] == 1
-    assert np.array_equal(loaded["w"], params["w"])
-    assert np.array_equal(loaded["b"], params["b"])
+    model.save(path, header_extra={"note": 1})
+    assert json.loads(path.read_text())["note"] == 1
+    loaded = se.SpanCopyModel.load(path)
+    assert set(loaded.params) == set(model.params)
+    for name, p in model.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
 
 
 def test_checkpoint_float32_roundtrip(tmp_path, rng):
-    w = rng.normal(size=(4, 3)).astype(np.float32)
+    vocab, _ = tiny_vocab()
+    model = random_params_model(vocab, rng, precision="float32")
     path = tmp_path / "ck32.json"
-    ad.save_checkpoint(path, {"w": ad.Tensor(w)}, None)
-    loaded, _ = ad.load_checkpoint(path)
-    assert loaded["w"].dtype == np.float32
-    assert np.array_equal(loaded["w"], w)
-
-
-def test_checkpoint_rejects_mixed_dtypes(tmp_path, rng):
-    params = {
-        "w": ad.Tensor(rng.normal(size=(2,))),
-        "b": ad.Tensor(rng.normal(size=(2,)).astype(np.float32)),
-    }
-    with pytest.raises(ad.CheckpointError):
-        ad.save_checkpoint(tmp_path / "ck.json", params, None)
-
-
-def test_checkpoint_rejects_bad_version(tmp_path):
-    path = tmp_path / "ck.json"
-    ad.save_checkpoint(path, {"w": ad.Tensor(np.zeros(2))}, None)
-    blob = path.read_text().replace('"format_version": 1', '"format_version": 99')
-    path.write_text(blob)
-    with pytest.raises(ad.CheckpointError):
-        ad.load_checkpoint(path)
+    model.save(path)
+    loaded = se.SpanCopyModel.load(path)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == np.float32, name
+        assert np.array_equal(loaded.params[name].data, p.data), name

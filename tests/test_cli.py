@@ -221,6 +221,8 @@ MALFORMED_CHECKPOINTS = {
     "config_not_a_mapping": (lambda doc: _set(doc, "config", [1, 2]), "config"),
     "config_lacks_vocab_size": (lambda doc: doc["config"].pop("vocab_size"), "vocab_size"),
     "config_untied": (lambda doc: _set(doc["config"], "tie_embeddings", False), "tie_embeddings"),
+    # the header's precision and the config's are one fact recorded twice
+    "precision_contradicts_config": (lambda doc: _set(doc["config"], "precision", "float32"), "precision"),
     # non-validating base64 would drop the stray characters and load the values
     "data_not_strict_base64": (
         lambda doc: _set(doc["params"]["out.b"], "data", "\n*" + doc["params"]["out.b"]["data"]),
@@ -241,6 +243,23 @@ def test_decode_rejects_malformed_checkpoint(trained_artifacts, tmp_path, caplog
     assert code == 3
     assert out == ""
     assert str(broken) in caplog.text and repr(name) in caplog.text
+
+
+@pytest.mark.parametrize("reader", ["model", "vocab", "data", "config"])
+def test_files_that_are_not_utf8_are_refused_naming_them(
+    trained_artifacts, corpus_dir, tmp_path, caplog, reader
+):
+    model, vocab, _ = trained_artifacts
+    bad = tmp_path / f"bad.{reader}"
+    bad.write_bytes(b"first line\n\xff\n")
+    if reader == "config":
+        argv = ("gen-data", "--config", str(bad))
+    else:
+        paths = {"model": model, "vocab": vocab, "data": corpus_dir / "test.jsonl", reader: bad}
+        argv = ("decode", *(f"--{k}={v}" for k, v in paths.items()), "--split", "all")
+    code, out = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert f"{bad}: line 2: not UTF-8" in caplog.text
 
 
 @pytest.mark.parametrize("param, value", [("out.b", float("nan")), ("span.W_start", float("inf"))])

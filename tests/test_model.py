@@ -9,6 +9,7 @@ import pytest
 import spanedit as se
 import spanedit.autodiff as ad
 from spanedit.corpus import PAD_ID, START_ID
+from spanedit.model import PRECISIONS
 from spanedit.oracle import action_log_prob
 
 from conftest import normalization_defect, random_params_model, tiny_model, tiny_vocab
@@ -258,16 +259,60 @@ def test_every_parameter_gets_gradient(rng):
 
 def test_save_load_roundtrip(tmp_path, rng):
     vocab, letters = tiny_vocab()
-    model = random_params_model(vocab, rng, max_copy_len=1)
-    path = tmp_path / "m.json"
-    model.save(path, header_extra={"tag": "x"})
-    loaded = se.SpanCopyModel.load(path)
-    assert loaded.config == model.config
     x = tuple(letters[:4])
-    a = scores_for(model, vocab, x, consumed=vocab.ids(x[:2]))
-    b = scores_for(loaded, vocab, x, consumed=vocab.ids(x[:2]))
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
+    for precision in PRECISIONS:
+        model = random_params_model(vocab, rng, max_copy_len=1, precision=precision)
+        path = tmp_path / f"{precision}.json"
+        model.save(path, header_extra={"tag": "x"})
+        doc = json.loads(path.read_text())
+        assert (doc["precision"], doc["config"]["precision"], doc["tag"]) == (precision, precision, "x")
+        loaded = se.SpanCopyModel.load(path)
+        assert loaded.config == model.config
+        for name, p in model.params.items():
+            assert loaded.params[name].dtype == p.dtype
+            assert np.array_equal(loaded.params[name].data, p.data), name
+        a = scores_for(model, vocab, x, consumed=vocab.ids(x[:2]))
+        b = scores_for(loaded, vocab, x, consumed=vocab.ids(x[:2]))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+
+
+def test_load_refuses_unsupported_format_version(tmp_path):
+    vocab, _ = tiny_vocab()
+    path = tmp_path / "m.json"
+    tiny_model(vocab).save(path)
+    path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 99'))
+    with pytest.raises(se.CheckpointError) as err:
+        se.SpanCopyModel.load(path)
+    assert str(path) in str(err.value) and "format_version 99" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["format_version", "precision", "params", "config"])
+def test_save_refuses_reserved_header_keys(tmp_path, key):
+    # a header_extra `config` would replace the model's own config in the file
+    vocab, _ = tiny_vocab()
+    model = tiny_model(vocab)
+    path = tmp_path / "m.json"
+    model.save(path)
+    before = path.read_bytes()
+    with pytest.raises(se.CheckpointError, match=repr(key)):
+        model.save(path, header_extra={"tag": "x", key: {"dropout": 0.5}})
+    assert path.read_bytes() == before
+
+
+def test_parameters_of_the_wrong_dtype_are_refused():
+    # the config's precision and the parameters' dtype are one fact, so the
+    # constructor refuses a parameter that disagrees, before the model runs
+    vocab, _ = tiny_vocab()
+    for precision, other in (("float64", np.float32), ("float32", np.float64)):
+        model = tiny_model(vocab, precision=precision)
+        params = dict(model.params)
+        params["dec.U"] = ad.Tensor(params["dec.U"].data.astype(other), requires_grad=True)
+        with pytest.raises(se.ModelError, match=r"'dec\.U'.*dtype"):
+            se.SpanCopyModel(model.config, params)
+        cast = {name: ad.Tensor(p.data.astype(other)) for name, p in model.params.items()}
+        with pytest.raises(se.ModelError, match="dtype"):
+            se.SpanCopyModel(model.config, cast)
 
 
 def test_checkpoint_file_layout_unchanged(tmp_path):
