@@ -295,7 +295,8 @@ def _load_model_vocab(opt: dict) -> tuple[SpanCopyModel, Vocab]:
     vocab = load_vocab(opt["vocab"])
     if vocab.size != model.config.vocab_size:
         raise ModelError(
-            f"vocab has {vocab.size} entries but the model expects {model.config.vocab_size}"
+            f"{opt['vocab']}: vocab has {vocab.size} entries but the model {opt['model']} "
+            f"expects {model.config.vocab_size}"
         )
     return model, vocab
 

@@ -359,4 +359,7 @@ def load_vocab(path) -> Vocab:
     surfaces = [line for line in read_text(path).split("\n") if line]
     if len(surfaces) < 4:
         raise CorpusError(f"{path}: vocab file needs at least the 4 reserved lines")
-    return Vocab(tuple(surfaces))
+    try:
+        return Vocab(tuple(surfaces))
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from e

@@ -9,9 +9,9 @@ contiguous input span (i, j), i < j.  The vocab scores of an attended state
 h are `(h W_projᵀ) Eᵀ + b`: the output layer is tied to the input
 embedding E.  A span's score is bilinear in the decoder's attended state
 and the concatenated encoder states at the span's first and last token,
-which factors as start[i] + end[j-1].  Training and
-decoding (on a batch of one) score through that factored form; only the
-brute-force oracle materializes the [n, n] span matrix.
+which factors as start[i] + end[j-1].  Training and decoding (on a batch
+of one, scoring only the spans of `span_cells`) use that factored form;
+only the brute-force oracle materializes the [n, n] span matrix.
 
 Copying a span of length L advances the decoder exactly like emitting those L
 tokens one at a time, so the decoder state is a function of the token prefix,
@@ -232,9 +232,14 @@ def _read_payload(path, key: str, entry, wire: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _forbidden_spans(n: int, max_copy_len: int | None) -> np.ndarray:
-    """[n, n] mask of the span cells (i, j-1) that are no action; shared, never write to it."""
-    return ~np.eye(n, dtype=bool) if max_copy_len == 1 else np.tri(n, k=-1, dtype=bool)
+def span_cells(n: int, max_copy_len: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(start, last) of every copy on an n-token input, by start then last:
+    span s is Copy(start[s], last[s] + 1), the upper triangle with no cap and
+    the diagonal under cap 1.  Cached, so the arrays are read-only."""
+    cells = (np.arange(n), np.arange(n)) if max_copy_len == 1 else np.triu_indices(n)
+    for a in cells:
+        a.flags.writeable = False
+    return cells
 
 
 class SpanCopyModel:
@@ -380,12 +385,12 @@ class SpanCopyModel:
     def action_scores_many(self, ht: Tensor, proj) -> tuple[Tensor, Tensor]:
         """Decoding's action log-probabilities, with no gradient: attended
         states ht [1, R, d] and their encoding's `span_projections` ->
-        (log_q_vocab [R, V], log_q_span [R, n, n]) by `score_components`; cell
-        (i, j-1) holds Copy(i, j), and cells that are no action hold -inf."""
+        (log_q_vocab [R, V], log_q_span [R, S]) by `score_components`; column
+        s holds the s-th copy of `span_cells`, so every entry is an action."""
         vs, a, c, z = self.score_components(ht, proj)
         z = z.data[0]
-        log_q_span = a.data[0, :, :, None] + (c.data[0, :, None, :] - z[:, :, None])
-        log_q_span[:, _forbidden_spans(a.shape[2], self.config.max_copy_len)] = ad.NEG_INF
+        start, last = span_cells(a.shape[2], self.config.max_copy_len)
+        log_q_span = a.data[0][:, start] + (c.data[0][:, last] - z)
         return Tensor(vs.data[0] - z), Tensor(log_q_span)
 
     # -- persistence

@@ -70,7 +70,7 @@ from . import autodiff as ad
 from . import search
 from .autodiff import Tensor
 from .corpus import EOS_ID, START_ID, UNK_ID, EditExample, Vocab, mix64
-from .model import SpanCopyModel, _forbidden_spans
+from .model import SpanCopyModel, span_cells
 
 OBJECTIVES = ("marginal", "multi_hot", "longest_copy")
 
@@ -415,12 +415,14 @@ def _greedy_walk(
     by `action_scores_many`'s expressions, where an action ties the best
     when adding it to greedy's float64 running log-prob gives the same sum;
     ties go to the smaller emitted tokens (EOS as its surface), then to the
-    smaller flat index.  The row goes on while that action emits the next
-    tokens of y (Gen(UNK) never does), and hits when it takes EOS at k = m,
-    every action at k <= `default_max_len(n)`.  A span's best start per end
-    is a running max of start scores, exact since IEEE addition is monotone,
-    so no [K, n, n] block is formed; exact ties are resolved only at the
-    positions visited.  A non-finite best score raises greedy's ValueError.
+    smaller flat index, whose span order (`span_cells`) the walk's key
+    v + i·n + e for span (i, e) keeps.  The row goes on while that action
+    emits the next tokens of y (Gen(UNK) never does), and hits when it takes
+    EOS at k = m, every action at k <= `default_max_len(n)`.  A span's best
+    start per end is a running max of start scores, exact since IEEE
+    addition is monotone, so no [K, n, n] block is formed; exact ties are
+    resolved only at the positions visited.  A non-finite best score raises
+    greedy's ValueError.
     """
     vs, a, c, z = (t.data for t in components)
     bsz, n = bucket.x_ids.shape
@@ -428,7 +430,8 @@ def _greedy_walk(
     v = model.config.vocab_size
     capped = model.config.max_copy_len == 1
     max_len = search.default_max_len(n)
-    span_ok = ~_forbidden_spans(n, model.config.max_copy_len)  # [start, end]
+    span_ok = np.zeros((n, n), dtype=bool)  # [start, end]: the copies of `span_cells`
+    span_ok[span_cells(n, model.config.max_copy_len)] = True
     hit = np.zeros(bsz, dtype=bool)
     taken = np.zeros(bsz, dtype=np.int64)
     # the rows still on y, their positions, running log-probs and actions

@@ -31,11 +31,12 @@ A round whose best action scores NaN or +inf raises ValueError: a masked
 action scores -inf, so only a broken model scores that way.
 
 All three run on one array core.  Every action has a flat index: Gen(t) is
-t and Copy(i, j) is V + i*n + j - 1, which is also the order actions are
-enumerated and path tie-breaks compare in.  Per input, a table gives every
-action's length and feed ids and, for merging rounds only, a token class:
-two actions have equal classes exactly when they emit equal tokens.  The
-facts that do not depend on the input's tokens are cached per input length.
+t and the s-th copy of `model.span_cells` (ordered by start, then by last)
+is V + s, which is also the order actions are enumerated and path
+tie-breaks compare in.  Every flat index is an action.  Per input, a table
+gives every action's length and feed ids and, for merging rounds only, a
+token class: two actions have equal classes exactly when they emit equal
+tokens.
 Survivor rays are arrays (log-prob, length, finished flag, decoder state)
 plus the token tuples (and, without merging, the action paths) of at most
 beam-width rays.  A round scores the active rays in one call and pools their
@@ -68,7 +69,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import EOS, EOS_ID, UNK_ID, Vocab, validate_tokens
-from .model import Action, Copy, Gen, SpanCopyModel
+from .model import Action, Copy, Gen, SpanCopyModel, span_cells
 
 
 def default_max_len(n: int) -> int:
@@ -185,36 +186,21 @@ def greedy_decode(
     more action, so an output of exactly max_len tokens can still finish, and
     a final copy can overshoot max_len by its tail.  Ties: actions of exactly
     equal score break toward the smaller resulting token tuple (a finished
-    output's tuple ending in EOS), then toward the smaller flat action index.
+    output's tuple ending in EOS), then toward the smaller flat action index
+    (copies in `span_cells` order).
     """
     rays, _ = _beam_search(model, vocab, x, 1, max_len, merge=False)
-    v, n = model.config.vocab_size, len(x)
+    v = model.config.vocab_size
+    start, last = span_cells(len(x), model.config.max_copy_len)
     actions: list[Action] = []
     for a in rays.paths[0]:
         if a >= v:
-            i, jm1 = divmod(a - v, n)
-            actions.append(Copy(i, jm1 + 1))
+            actions.append(Copy(int(start[a - v]), int(last[a - v]) + 1))
         elif a != EOS_ID:
             actions.append(Gen(a))
     return GreedyResult(
         rays.tokens[0], float(rays.log_prob[0]), bool(rays.finished[0]), tuple(actions)
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _shape_facts(v: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """length and feed_start of every flat action (see _ActionTable): the
-    facts that depend only on the vocab size and the input length.  Cached,
-    so the arrays are read-only."""
-    last = np.arange(n)
-    span_length = np.maximum(last - last[:, None] + 1, 0)  # [start, last]
-    wait = np.zeros(1, dtype=np.int64)
-    length = np.concatenate([np.ones(v, dtype=np.int64), span_length.ravel(), wait])
-    length[EOS_ID] = 0
-    feed_start = np.concatenate([n + np.arange(v), np.repeat(last, n), wait])
-    for a in (length, feed_start):
-        a.flags.writeable = False
-    return length, feed_start
 
 
 class _ActionTable:
@@ -223,21 +209,21 @@ class _ActionTable:
     -1, so that waiting leaves a ray as it is.
 
     Gen(EOS) has length 0 and no surfaces: finishing leaves a ray's tokens
-    unchanged and only sets the finished flag.  Span cells below the
-    diagonal have length 0 and class -1; they score -inf, as does every
-    span a capped model forbids, so no pool entry uses them.  Feed ids of
-    action a are feed[feed_start[a] : feed_start[a] + length[a]]; a copy's
-    surfaces are the same slice of x."""
+    unchanged and only sets the finished flag.  Feed ids of action a are
+    feed[feed_start[a] : feed_start[a] + length[a]]; a copy's surfaces are
+    the same slice of x."""
 
-    def __init__(self, vocab: Vocab, x, x_ids: list[int], v: int):
+    def __init__(self, vocab: Vocab, x, x_ids: list[int], v: int, max_copy_len: int | None):
         self.vocab, self.x, self.x_ids, self.v, self.n = vocab, tuple(x), x_ids, v, len(x)
-        self.length, self.feed_start = _shape_facts(v, self.n)
+        self.start, self.last = span_cells(self.n, max_copy_len)
+        self.length = np.concatenate([np.ones(v, dtype=np.int64), self.last - self.start + 1, [0]])
+        self.length[EOS_ID] = 0
+        self.feed_start = np.concatenate([self.n + np.arange(v), self.start, [0]])
         self.feed = np.array(x_ids + list(range(v)), dtype=np.int64)
 
     def surfaces(self, a: int) -> tuple[str, ...]:
         if a >= self.v:
-            start, last = divmod(a - self.v, self.n)
-            return self.x[start : last + 1]
+            return self.x[self.start[a - self.v] : self.last[a - self.v] + 1]
         return () if a == EOS_ID else (self.vocab.surface(a),)
 
     @functools.cached_property
@@ -247,18 +233,19 @@ class _ActionTable:
         only merging rounds make.  Actions have equal classes exactly when
         they emit equal tokens: Gen(t) is class t, a one-token copy takes its
         surface's vocab id or, out of vocabulary, an id of its own per
-        distinct surface, and a longer copy takes the class of its pair."""
+        distinct surface, and a longer copy takes the class of its pair.  A
+        longer copy's head span comes just before it in `span_cells` order."""
         v, n = self.v, self.n
         token: dict[str, int] = {}
         for i, (s, t) in enumerate(zip(self.x, self.x_ids)):
             token.setdefault(s, t if t != UNK_ID else v + i)
         pair: dict[tuple[int, int], int] = {}
-        span = np.full((n, n), -1, dtype=np.int64)
-        for i in range(n):
-            c = span[i, i] = token[self.x[i]]
-            for j in range(i + 1, n):
-                c = span[i, j] = pair.setdefault((c, token[self.x[j]]), v + n + len(pair))
-        return np.concatenate([np.arange(v), span.ravel(), [-1]]), token, pair
+        span = []
+        for i, j in zip(self.start.tolist(), self.last.tolist()):
+            t = token[self.x[j]]
+            c = t if i == j else pair.setdefault((c, t), v + n + len(pair))
+            span.append(c)
+        return np.concatenate([np.arange(v), span, [-1]]), token, pair
 
     @property
     def cls(self) -> np.ndarray:
@@ -305,7 +292,7 @@ def _expand(model, enc, proj, rays: _Rays, grow: np.ndarray) -> _Pool:
     active, waiting = grow.nonzero()[0], (~grow).nonzero()[0]
     ht = model.attend_states(rays.hidden[active], enc)
     lqv, lqs = model.action_scores_many(ht, proj)
-    flat = np.concatenate([lqv.data, lqs.data.reshape(active.size, -1)], axis=1)
+    flat = np.concatenate([lqv.data, lqs.data], axis=1)
     top = flat.max()
     if not np.isfinite(top):
         raise ValueError(f"the best action scores {top}: the model's scores are not finite")
@@ -495,7 +482,7 @@ def _beam_search(
         x_ids = vocab.ids(x)
         enc = model.encode_batch(np.asarray([x_ids]))
         proj = model.span_projections(enc.contextual)
-        table = _ActionTable(vocab, x, x_ids, model.config.vocab_size)
+        table = _ActionTable(vocab, x, x_ids, model.config.vocab_size, model.config.max_copy_len)
         log = _MergeLog(table.surfaces)
         rays = _Rays(
             log_prob=np.zeros(1),

@@ -487,6 +487,26 @@ def test_decode_rejects_vocab_with_invalid_surface(trained_artifacts, tmp_path, 
     assert "whitespace" in caplog.text
 
 
+BROKEN_VOCABS = {
+    "duplicate_surface": lambda lines: lines + [lines[4]],
+    "whitespace_surface": lambda lines: lines[:4] + ["a b"] + lines[5:],
+    "reserved_lines_out_of_place": lambda lines: lines[1:] + lines[:1],
+    "size_mismatch": lambda lines: lines + ["zzz"],
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_VOCABS)
+def test_decode_refuses_a_broken_vocab_naming_the_file(trained_artifacts, tmp_path, caplog, case):
+    model, vocab, _ = trained_artifacts
+    broken = tmp_path / "vocab.txt"
+    broken.write_text("\n".join(BROKEN_VOCABS[case](vocab.read_text().splitlines())) + "\n")
+    code, out = run_cli("decode", "--model", str(model), "--vocab", str(broken), "--input", "a b")
+    assert (code, out) == (3, "")
+    assert f"{broken}: vocab" in caplog.text
+    if case == "size_mismatch":
+        assert str(model) in caplog.text
+
+
 def test_exit_code_usage():
     assert run_cli("gen-data", "--count", "4", "--out", "/tmp/x")[0] == 1  # missing --task
     assert run_cli("no-such-command")[0] == 1

@@ -9,21 +9,26 @@ import pytest
 import spanedit as se
 import spanedit.autodiff as ad
 from spanedit.corpus import PAD_ID, START_ID
-from spanedit.model import PRECISIONS
+from spanedit.model import PRECISIONS, span_cells
 from spanedit.oracle import action_log_prob
 
 from conftest import normalization_defect, random_params_model, tiny_model, tiny_vocab
 
 
 def scores_for(model, vocab, x, consumed=()):
-    """(log_q_vocab [V], log_q_span [n, n]) after consuming `consumed`."""
+    """(log_q_vocab [V], log_q_span [n, n]) after consuming `consumed`: the
+    span scores scattered from `span_cells` order into cells (i, j-1), with
+    -inf on every cell that is no action."""
     enc = model.encode_batch([vocab.ids(x)])
     hidden = model.initial_state(enc)
     for tid in consumed:
         hidden = model.decoder_advance(hidden, [tid])
     ht = model.attend_states(hidden, enc)
     lqv, lqs = model.action_scores_many(ht, model.span_projections(enc.contextual))
-    return lqv.data[0], lqs.data[0]
+    n = len(x)
+    grid = np.full((n, n), -np.inf, dtype=lqs.data.dtype)
+    grid[span_cells(n, model.config.max_copy_len)] = lqs.data[0]
+    return lqv.data[0], grid
 
 
 def attention_weights(model, hidden, enc):

@@ -7,6 +7,7 @@ import pytest
 
 import spanedit as se
 from spanedit.corpus import RESERVED_SURFACES, EOS_ID
+from spanedit.model import span_cells
 from spanedit.oracle import (
     action_sequence_count,
     enumerate_action_sequences,
@@ -107,7 +108,8 @@ def test_decode_scores_match_full_matrix_softmax(max_copy_len, precision, tol):
     # the model's factored normalizer against the oracle's materialized
     # [V + n^2] joint softmax, on the same attended states.  In float32 the
     # two round apart by a few ulps of log-probs up to ~11 in magnitude: at
-    # most 1.2e-6 over 320 such draws
+    # most 1.2e-6 over 320 such draws.  The model scores only the copies of
+    # span_cells, which must be exactly the oracle's finite span cells
     vocab, letters = tiny_vocab()
     rng = np.random.default_rng(12)
     for n in range(1, 9):
@@ -119,7 +121,11 @@ def test_decode_scores_match_full_matrix_softmax(max_copy_len, precision, tol):
             ht = model.attend_states(hidden, enc)
             lqv, lqs = model.action_scores_many(ht, model.span_projections(enc.contextual))
         want_v, want_s = full_matrix_distribution(model, ht, enc)
-        for got, want in ((lqv.data, want_v), (lqs.data, want_s)):
+        start, last = span_cells(n, max_copy_len)
+        dead = np.ones((n, n), dtype=bool)
+        dead[start, last] = False
+        assert np.all(want_s[:, dead] == -np.inf)
+        for got, want in ((lqv.data, want_v), (lqs.data, want_s[:, start, last])):
             assert got.dtype == want.dtype == model.config.dtype
             assert np.array_equal(np.isfinite(got), np.isfinite(want))
             assert np.array_equal(got[~np.isfinite(got)], want[~np.isfinite(want)])

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import spanedit as se
 from spanedit import search
 from spanedit.corpus import EOS, RESERVED_SURFACES, TaskKind
+from spanedit.model import span_cells
 from spanedit.search import MergeEvent
 from spanedit.oracle import exact_likelihood
 from spanedit.search import default_max_len
@@ -250,13 +252,14 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge, shortest_only=Fal
     expands every unfinished ray within the budget that no other unfinished
     ray is a proper prefix of; shortest_only keeps just the shortest of
     them, the order the beam used to search in."""
-    n, v = len(x), model.config.vocab_size
+    v = model.config.vocab_size
+    start, last = span_cells(len(x), model.config.max_copy_len)
     events = []
 
     def successors(enc, proj, active):
         hidden = np.concatenate([r[2] for r in active])
         lqv, lqs = model.action_scores_many(model.attend_states(hidden, enc), proj)
-        flat = np.concatenate([lqv.data, lqs.data.reshape(len(active), -1)], axis=1)
+        flat = np.concatenate([lqv.data, lqs.data], axis=1)
         out = []
         for (toks, lp, state, _, _, path), row in zip(active, flat):
             for a in np.flatnonzero(np.isfinite(row)).tolist():
@@ -266,8 +269,7 @@ def reference_beam(model, vocab, x, beam_size, max_len, merge, shortest_only=Fal
                 if a < v:
                     surf = (vocab.surface(a),)
                 else:
-                    i, last = divmod(a - v, n)
-                    surf = tuple(x[i : last + 1])
+                    surf = tuple(x[start[a - v] : last[a - v] + 1])
                 feed = tuple(vocab.ids(surf))
                 out.append([toks + surf, lp + float(row[a]), state, feed, False, path + (a,)])
         return out
@@ -394,9 +396,9 @@ def test_greedy_matches_width_one_reference(seed, x, max_len):
     [(tokens, lp, finished, _, path)], _ = reference_beam(model, vocab, x, 1, max_len, False)
     assert (greedy.tokens, greedy.finished) == (tokens, finished)
     assert greedy.log_prob == pytest.approx(lp, abs=1e-9)
-    v, n = vocab.size, len(x)
+    spans = list(zip(*(a.tolist() for a in span_cells(len(x), model.config.max_copy_len))))
     flat = tuple(
-        a.token_id if isinstance(a, se.Gen) else v + a.start * n + a.end - 1
+        a.token_id if isinstance(a, se.Gen) else vocab.size + spans.index((a.start, a.end - 1))
         for a in greedy.actions
     )
     assert flat + ((se.EOS_ID,) if finished else ()) == path
@@ -418,20 +420,57 @@ def test_negative_max_len_rejected(decoder):
 
 @pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS.keys())
 def test_zero_length_action_raises_instead_of_looping(monkeypatch, decoder):
-    # a scoring bug that leaves the zero-length Copy(1, 1) finite (and
-    # certain) would keep the frontier in place forever; the round bound
-    # turns it into an error
-    model, vocab = small_model()
-    scores = se.SpanCopyModel.action_scores_many
+    # an action table that gave a certain action length 0 would keep the
+    # frontier in place forever; the round bound turns it into an error.
+    # The action is Gen(d), and d is not in x, so no copy merges with it
+    model, vocab = small_model(letters=4)
+    d = vocab.lookup("d")
+    scores, table = se.SpanCopyModel.action_scores_many, search._ActionTable.__init__
 
-    def leaky(self, ht, proj):
+    def certain(self, ht, proj):
         lqv, lqs = scores(self, ht, proj)
-        lqs.data[:, 1, 0] = 0.0
+        lqv.data[:, d] = 0.0
         return lqv, lqs
 
-    monkeypatch.setattr(se.SpanCopyModel, "action_scores_many", leaky)
+    def stalled(self, *args):
+        table(self, *args)
+        self.length[d] = 0
+
+    monkeypatch.setattr(se.SpanCopyModel, "action_scores_many", certain)
+    monkeypatch.setattr(search._ActionTable, "__init__", stalled)
     with pytest.raises(RuntimeError, match="length 0"):
         decoder(model, vocab, ("a", "b", "c"), max_len=3)
+
+
+def test_token_copy_decode_memory_is_linear_in_n():
+    # decoding scores one column per copy action: n of them under cap 1 and
+    # n(n+1)/2 without a cap, none of them -inf.  So a token-copy decode's
+    # tracemalloc peak grows about linearly with n (slope about 0.9 over
+    # n = 64..512); any [R, n, n] block would make it about 2
+    vocab, letters = tiny_vocab()
+    rng = np.random.default_rng(3)
+    x = tuple(letters[i] for i in rng.integers(0, len(letters), size=9))
+    for cap, cells in ((1, 9), (None, 45)):
+        model = random_params_model(vocab, rng, max_copy_len=cap)
+        with se.no_grad():
+            enc = model.encode_batch([vocab.ids(x)])
+            ht = model.attend_states(np.repeat(model.initial_state(enc), 3, axis=0), enc)
+            _, lqs = model.action_scores_many(ht, model.span_projections(enc.contextual))
+        assert lqs.shape == (3, cells) and np.isfinite(lqs.data).all()
+    model = random_params_model(vocab, rng, max_copy_len=1)
+    sizes = (64, 128, 256, 512)
+    inputs = [tuple(letters[i] for i in rng.integers(0, len(letters), size=n)) for n in sizes]
+    for decoder in (se.beam_decode, se.beam_decode_merge_at_end):
+        peaks = []
+        for x in inputs:
+            tracemalloc.start()
+            try:
+                decoder(model, vocab, x, 20, max_len=8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = float(np.polyfit(np.log(sizes), np.log(peaks), 1)[0])
+        assert slope <= 1.2, (decoder.__name__, peaks, slope)
 
 
 @pytest.mark.parametrize("param, value", [("out.b", math.nan), ("span.W_start", math.inf)])
